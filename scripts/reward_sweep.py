@@ -27,7 +27,6 @@ def main() -> int:
     parser.add_argument("--epsilon", type=float, default=0.01)
     parser.add_argument("--d-list", default=None,
                         help="extra exponents besides 1 and d_opt, comma separated")
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args()
 
     config = fs.load_config(args.config)
@@ -37,13 +36,11 @@ def main() -> int:
 
     print(f"solving for d_opt (epsilon={args.epsilon}) ...")
     started = time.time()
-    d_opt, certificate = fs.find_d_opt(
-        config, fs.SolverSettings(epsilon=args.epsilon), threads=args.threads
-    )
+    d_opt, certificate = fs.find_d_opt(config, fs.SolverSettings(epsilon=args.epsilon))
     print(f"d_opt = {d_opt:.6g}  ({time.time() - started:.1f}s, "
           f"{len(certificate.checks)} checks)")
     cert_path = out_dir / "nash_certificate.json"
-    cert_path.write_text(json.dumps(certificate.to_dict(), indent=2) + "\n")
+    fs.model.write_text_atomic(cert_path, json.dumps(certificate.to_dict(), indent=2) + "\n")
 
     extra = [float(x) for x in args.d_list.split(",")] if args.d_list else []
     d_values = sorted({1.0, *extra, d_opt})
@@ -56,7 +53,7 @@ def main() -> int:
         method="exact",
     )
     print(f"sweeping c=1..{stake} at d in {d_values} ...")
-    rows = fs.run_experiment(spec, threads=args.threads)
+    rows = fs.run_experiment(spec)
     sweep_path = out_dir / "sweep.csv"
     fs.write_sweep_csv(rows, sweep_path)
 

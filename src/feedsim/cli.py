@@ -1,10 +1,11 @@
 """Command-line surface: validate, payoff, solve-d, sweep, estimate-cm.
 
 Every command is non-interactive and reproducible: seeds default to a fixed
-constant (never the clock), thread counts change wall time but never results,
-and each output file gets a sidecar manifest recording how it was produced.
-Exit codes: 0 success, 1 domain failure (invalid config, infeasible request,
-exhausted search), 2 unreadable or ill-formed input.
+constant (never the clock), and each output file is written atomically with
+a sidecar manifest recording how it was produced. `--threads` is accepted for
+compatibility and has no effect. Exit codes: 0 success, 1 domain failure
+(invalid config, infeasible request, exhausted search, arithmetic overflow),
+2 unreadable or ill-formed input.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from .model import (
     ConfigFormatError,
     InvalidConfigError,
     config_from_dict,
+    load_config,
     read_config_document,
     require_valid,
     validate_config,
+    write_text_atomic,
 )
 from .payoff import EXACT, MONTE_CARLO, PayoffQuery, expected_payoff_exact, \
     expected_payoff_mc, optimal_allocation
@@ -35,6 +38,7 @@ from .solver import DMaxExceededError, SolverSettings, find_d_opt, \
     find_d_opt_from_oracle_stakes
 
 _METHODS = {"exact": EXACT, "mc": MONTE_CARLO, "monte_carlo": MONTE_CARLO}
+_THREADS_HELP = "accepted for compatibility; has no effect"
 
 
 @dataclass(frozen=True)
@@ -59,11 +63,7 @@ class RunManifest:
 
     def write_beside(self, output_path) -> None:
         sidecar = Path(str(output_path) + ".manifest.json")
-        sidecar.write_text(json.dumps(self.__dict__, indent=2) + "\n")
-
-
-def _load(config_path, renormalize: bool = False):
-    return config_from_dict(read_config_document(config_path), renormalize=renormalize)
+        write_text_atomic(sidecar, json.dumps(self.__dict__, indent=2) + "\n")
 
 
 def _parse_c_range(text: str) -> list[int]:
@@ -80,14 +80,14 @@ def _parse_d_list(text: str) -> list[float]:
 
 
 def cmd_validate(args) -> int:
-    config = _load(args.config, renormalize=args.renormalize)
+    config = load_config(args.config, renormalize=args.renormalize)
     report = validate_config(config)
     print(report)
     return 0 if report.is_valid else 1
 
 
 def cmd_payoff(args) -> int:
-    config = _load(args.config)
+    config = load_config(args.config)
     require_valid(config)
     stake = config.user(args.user).total_stake
     query = PayoffQuery(
@@ -97,7 +97,7 @@ def cmd_payoff(args) -> int:
         d=args.d,
     )
     if _METHODS[args.method] == EXACT:
-        estimate = expected_payoff_exact(query, threads=args.threads)
+        estimate = expected_payoff_exact(query)
     else:
         estimate = expected_payoff_mc(query, samples=args.samples, seed=args.seed)
     print(
@@ -108,7 +108,7 @@ def cmd_payoff(args) -> int:
 
 
 def cmd_solve_d(args) -> int:
-    config = _load(args.config)
+    config = load_config(args.config)
     require_valid(config)
     settings = SolverSettings(epsilon=args.epsilon, d_max=args.d_max)
     if args.from_oracle_stakes:
@@ -121,14 +121,13 @@ def cmd_solve_d(args) -> int:
             settings,
             prior=config.prior,
             total_reward=config.total_reward,
-            threads=args.threads,
         )
     else:
-        d_opt, certificate = find_d_opt(config, settings, threads=args.threads)
+        d_opt, certificate = find_d_opt(config, settings)
     print(f"d_opt={d_opt:.12g} checks={len(certificate.checks)} "
           f"satisfied={'yes' if certificate.satisfied else 'no'}")
     if args.out:
-        Path(args.out).write_text(json.dumps(certificate.to_dict(), indent=2) + "\n")
+        write_text_atomic(args.out, json.dumps(certificate.to_dict(), indent=2) + "\n")
         RunManifest.capture("solve-d", args.config, DEFAULT_SEED).write_beside(args.out)
     return 0
 
@@ -147,7 +146,7 @@ def cmd_sweep(args) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    rows = run_experiment(spec, threads=args.threads)
+    rows = run_experiment(spec)
     write_sweep_csv(rows, args.out)
     RunManifest.capture("sweep", args.config, spec.seed).write_beside(args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -169,7 +168,7 @@ def cmd_estimate_cm(args) -> int:
     matrix, report = estimate_confusion(records, settings, args.k)
     fragment = {"num_classes": args.k, "confusion": matrix.entries.tolist()}
     if args.out:
-        Path(args.out).write_text(json.dumps(fragment, indent=2) + "\n")
+        write_text_atomic(args.out, json.dumps(fragment, indent=2) + "\n")
         RunManifest.capture("estimate-cm", args.records, DEFAULT_SEED).write_beside(
             args.out
         )
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=sorted(_METHODS), default="exact")
     p.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.set_defaults(func=cmd_payoff)
 
     p = sub.add_parser("solve-d", help="find the smallest mirroring-proof exponent")
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-oracle-stakes", action="store_true",
                    help="treat the config's stakes as observed per-oracle stakes")
     p.add_argument("--out", default=None, help="write the certificate JSON here")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.set_defaults(func=cmd_solve_d)
 
     p = sub.add_parser("sweep", help="payoff and error-rate table over (c, d)")
@@ -220,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=sorted(_METHODS), default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -245,7 +244,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvalidConfigError, DMaxExceededError, EnumerationBudgetError,
-            IngestError, ValueError) as exc:
+            IngestError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

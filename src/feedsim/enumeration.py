@@ -1,81 +1,94 @@
-"""Exact-expectation engine over the joint report space of rival users.
+"""Exact-expectation engine over exchangeable rival reports.
 
-Expected payoffs and error rates are sums over K truth classes, K focal
-reports, and the K^(N-1) joint reports of the other users: the reward
-denominator depends on exactly which rivals matched the decided output, so
-the rival space is enumerated per identity rather than collapsed by counts.
-The enumeration is processed in fixed-size chunks; per-chunk arrays (report
-digits, vote counts, rival maxima, joint probabilities) are cached and shared
-across focal oracle counts and exponents. Chunks may be evaluated by a thread
-pool, but partial sums are always reduced in chunk order, so results are
-bit-identical for any thread count.
+Every oracle reports through the one shared confusion matrix, so rival
+reports are i.i.d. given the truth: a rival matters only through its oracle
+count (multiplicity) and its reward factor. Rivals of equal multiplicity form
+a group, and a round is decided by how many members of each group report
+each class.
+
+Payoffs: for the focal report v, let k hold, per multiplicity group, the
+number of rivals that also report v. The focal user's win mass (its votes
+against the best rival class, ties split uniformly) is summed per k into a
+table that is built once per focal oracle count from the multinomial report
+counts of each group; it depends on neither d nor the factors. A query groups
+the rivals by (multiplicity, factor), sums f / (f + M) over every split of
+the matching rivals across those groups, weighted by the number of rival
+sets with that split (M is the split's factor sum), and takes one dot product
+with the table.
+
+Error rates depend on vote counts only: a DP over rivals gives the
+distribution of the rival vote-count vector per truth class, built once.
+
+`term_count` stays the size of the joint report space, K^(N-1) * K^2, so the
+budget sends the same networks to the Monte Carlo path as before.
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import functools
+import itertools
+import math
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
 DEFAULT_BUDGET = 10**9
-DEFAULT_CHUNK = 1 << 19
-_CACHE_BYTE_LIMIT = 512 * 1024 * 1024
-_ENGINE_CACHE_SIZE = 4
+_BLOCK = 1 << 16  # states or splits evaluated per numpy pass
 
 
 class EnumerationBudgetError(RuntimeError):
     """Exact enumeration would exceed the term budget; use the Monte Carlo path."""
 
 
-def resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        return max(os.cpu_count() or 1, 1)
-    return max(int(threads), 1)
+def _compositions(n: int, k: int) -> np.ndarray:
+    """Every way to spread n reports over k classes, one row per way."""
+    bars = np.array(list(itertools.combinations(range(n + k - 1), k - 1)), dtype=np.int64)
+    ends = np.ones((len(bars), 1), dtype=np.int64)
+    return np.diff(np.hstack([-ends, bars, (n + k - 1) * ends])) - 1
 
 
-@dataclass
-class _ChunkArrays:
-    digits: np.ndarray     # (n, t) uint8: report of each rival user, 0-based
-    counts: np.ndarray     # (n, K) int32: votes cast by rivals per class
-    rival_max: np.ndarray  # (K, n) int32: max rival count over classes != v
-    inv_tie: np.ndarray    # (K, n) f8: 1 / (1 + #rival classes at rival_max)
-    probs: np.ndarray      # (K, n) f8: joint probability of rival reports | truth
+def _blocks(radix: Sequence[int]):
+    """Mixed-radix digits of 0..prod(radix)-1 as (len(radix), rows) arrays,
+    at most `_BLOCK` rows at a time."""
+    total = math.prod(radix)
+    for lo in range(0, total, _BLOCK):
+        flat = np.arange(lo, min(lo + _BLOCK, total))
+        # a leading digit of radix 1 keeps the shape when `radix` is empty
+        yield np.array(np.unravel_index(flat, (1, *radix)))[1:]
 
 
 class ExactEnumerator:
-    """Enumerates rival reports once and answers many expectation queries."""
+    """Builds count tables for one rival population and answers many queries."""
 
     def __init__(
         self,
         confusion: np.ndarray,
         prior: np.ndarray,
         rival_multiplicities: Sequence[int],
-        chunk_size: int = DEFAULT_CHUNK,
     ):
         self.confusion = np.ascontiguousarray(confusion, dtype=np.float64)
         self.prior = np.ascontiguousarray(prior, dtype=np.float64)
         self.num_classes = self.confusion.shape[0]
         self.mults = tuple(int(m) for m in rival_multiplicities)
         self.num_rivals = len(self.mults)
-        self.n_vectors = self.num_classes**self.num_rivals
-        self.chunk_size = int(chunk_size)
-        self.n_chunks = max(1, -(-self.n_vectors // self.chunk_size))
-        k, t = self.num_classes, self.num_rivals
-        per_vector = t + 4 * k + 4 * k + 8 * k + 8 * k
-        self._chunks: list[_ChunkArrays | None] | None = (
-            [None] * self.n_chunks
-            if self.n_vectors * per_vector <= _CACHE_BYTE_LIMIT
-            else None
-        )
+        self.group_mults = sorted(set(self.mults))
+        self.group_sizes = [self.mults.count(m) for m in self.group_mults]
+        # win tables are indexed by k in mixed radix over the groups
+        radix = [n + 1 for n in self.group_sizes]
+        self._k_size = math.prod(radix)
+        self._k_stride = {m: math.prod(radix[g + 1:]) for g, m in enumerate(self.group_mults)}
+        # Every report that can occur is certain given the truth (one class, or
+        # a perfect confusion matrix), so every rival matches the focal report.
+        truth_weight = self.prior[:, None] * self.confusion
+        self._all_match = bool(np.all((self.confusion == 1.0) | (truth_weight == 0.0)))
+        self._win: dict[int, np.ndarray] = {}
+        self._splits: dict[tuple, tuple] = {}
 
     @property
     def term_count(self) -> int:
-        """Enumeration terms including truth and focal-report dimensions."""
-        return self.n_vectors * self.num_classes * self.num_classes
+        """Joint report space size including truth and focal-report dimensions."""
+        return self.num_classes ** (self.num_rivals + 2)
 
     def check_budget(self, budget: int = DEFAULT_BUDGET) -> None:
         if self.term_count > budget:
@@ -84,64 +97,98 @@ class ExactEnumerator:
                 f"budget of {budget}; use the Monte Carlo estimator instead"
             )
 
-    # -- chunk construction -------------------------------------------------
+    # -- tables -------------------------------------------------------------
 
-    def _build_chunk(self, index: int) -> _ChunkArrays:
-        k, t = self.num_classes, self.num_rivals
-        lo = index * self.chunk_size
-        hi = min(lo + self.chunk_size, self.n_vectors)
-        n = hi - lo
-        digits = np.empty((n, t), dtype=np.uint8)
-        q = np.arange(lo, hi, dtype=np.int64)
-        for j in range(t):
-            digits[:, j] = q % k
-            q //= k
-        counts = np.zeros((n, k), dtype=np.int32)
-        rows = np.arange(n)
-        for j in range(t):
-            counts[rows, digits[:, j]] += self.mults[j]
-        rival_max = np.empty((k, n), dtype=np.int32)
-        inv_tie = np.empty((k, n), dtype=np.float64)
-        for v in range(k):
-            rival_cols = np.delete(counts, v, axis=1)
-            if rival_cols.shape[1]:
-                top = rival_cols.max(axis=1)
-                ties = (rival_cols == top[:, None]).sum(axis=1)
-            else:
-                top = np.full(n, -1, dtype=np.int32)
-                ties = np.zeros(n, dtype=np.int64)
-            rival_max[v] = top
-            inv_tie[v] = 1.0 / (1.0 + ties)
-        probs = np.empty((k, n), dtype=np.float64)
-        for truth in range(k):
-            joint = np.ones(n, dtype=np.float64)
-            row = self.confusion[truth]
-            for j in range(t):
-                joint *= row[digits[:, j]]
-            probs[truth] = joint
-        return _ChunkArrays(digits, counts, rival_max, inv_tie, probs)
+    @functools.cached_property
+    def _groups(self) -> tuple[list, list, list]:
+        """Per multiplicity group: its report counts per class (one row per
+        composition), their probability per truth, and the number of rival
+        sets behind each count."""
+        comps, probs, divisors = [], [], []
+        for n in self.group_sizes:
+            comp = _compositions(n, self.num_classes)
+            coef = [math.factorial(n) // math.prod(map(math.factorial, row)) for row in comp]
+            comps.append(comp)
+            probs.append(np.asarray(coef, float)
+                         * np.prod(self.confusion[:, None, :] ** comp, axis=2))
+            divisors.append(np.array([[math.comb(n, x) for x in row] for row in comp], float))
+        return comps, probs, divisors
 
-    def _chunk(self, index: int) -> _ChunkArrays:
-        if self._chunks is None:
-            return self._build_chunk(index)
-        cached = self._chunks[index]
-        if cached is None:
-            cached = self._build_chunk(index)
-            self._chunks[index] = cached
-        return cached
+    def _win_tables(self, counts: list[int]) -> None:
+        """Per-k win mass for each count in `counts`, summed over truth and v.
 
-    def _map_reduce(self, worker, threads: int | None) -> np.ndarray:
-        pool_size = min(resolve_threads(threads), self.n_chunks)
-        if pool_size <= 1:
-            parts = [worker(self._chunk(i)) for i in range(self.n_chunks)]
-        else:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                parts = list(pool.map(lambda i: worker(self._chunk(i)),
-                                      range(self.n_chunks)))
-        total = parts[0]
-        for part in parts[1:]:  # fixed reduction order: thread-count invariant
-            total = total + part
-        return total
+        A state fixes how many members of each multiplicity group report each
+        class. Its weight is divided by the number of rival sets behind its k
+        for v, so a query's split weights can count those sets instead.
+        """
+        k = self.num_classes
+        truth_weight = self.prior[:, None] * self.confusion  # (truth, report)
+        comps, probs, divisors = self._groups
+        tables = np.zeros((len(counts), self._k_size))
+        for digits in _blocks([len(c) for c in comps]):
+            size = digits.shape[1]
+            prob = np.ones((k, size))
+            votes = np.zeros((size, k), dtype=np.int64)
+            k_index = np.zeros((size, k), dtype=np.int64)
+            divisor = np.ones((size, k))
+            for g, (m, idx) in enumerate(zip(self.group_mults, digits)):
+                prob *= probs[g][:, idx]
+                votes += m * comps[g][idx]
+                k_index += self._k_stride[m] * comps[g][idx]
+                divisor *= divisors[g][idx]
+            weight = (truth_weight.T @ prob) / divisor.T  # (v, state)
+            for v in range(k):
+                others = np.delete(votes, v, axis=1)
+                top = others.max(axis=1, initial=-1)
+                inv_tie = 1.0 / (1.0 + (others == top[:, None]).sum(axis=1))
+                for i, c in enumerate(counts):
+                    mine = votes[:, v] + c
+                    win = (mine > top) + (mine == top) * inv_tie
+                    tables[i] += np.bincount(
+                        k_index[:, v], weights=weight[v] * win, minlength=tables.shape[1]
+                    )
+        self._win.update(zip(counts, tables))
+
+    def _split_grid(self, shape: tuple[tuple[int, int], ...]) -> tuple:
+        """The ways the matching rivals can spread across the groups of
+        `shape`, one (multiplicity, size) pair per (multiplicity, factor) group.
+
+        Returns `(cut, low, split, weight, k_index)`. Groups from `cut` on form
+        an inner grid of at most `_BLOCK` splits, kept as arrays: the matching
+        count per group, the number of rival sets with that split, and its
+        entry in the win tables. Queries loop over the groups before `cut`
+        (matching counts from `low` up), so only one block is ever held.
+        """
+        if shape not in self._splits:
+            sizes = [n for _, n in shape]
+            low = sizes if self._all_match else [0] * len(sizes)
+            radix = [n + 1 - lo for n, lo in zip(sizes, low)]
+            cut = len(radix)
+            while cut and math.prod(radix[cut - 1:]) <= _BLOCK:
+                cut -= 1
+            split = np.array(low[cut:], dtype=np.int64)[:, None] + next(_blocks(radix[cut:]))
+            weight = np.ones(split.shape[1])
+            for n, a in zip(sizes[cut:], split):
+                weight *= np.array([math.comb(n, x) for x in range(n + 1)], float)[a]
+            stride = np.array([self._k_stride[m] for m, _ in shape[cut:]], dtype=np.int64)
+            self._splits[shape] = (cut, low, split.astype(float), weight, stride @ split)
+        return self._splits[shape]
+
+    @functools.cached_property
+    def _vote_distribution(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct rival vote-count vectors and their probability per truth."""
+        k = self.num_classes
+        votes = np.zeros((1, k), dtype=np.int64)
+        probs = np.ones((k, 1))
+        for m in self.mults:
+            votes = (votes[:, None, :] + m * np.eye(k, dtype=np.int64)).reshape(-1, k)
+            probs = (probs[:, :, None] * self.confusion[:, None, :]).reshape(k, -1)
+            votes, inverse = np.unique(votes, axis=0, return_inverse=True)
+            probs = np.stack([
+                np.bincount(inverse.ravel(), weights=row, minlength=len(votes))
+                for row in probs
+            ])
+        return votes, probs
 
     # -- queries ------------------------------------------------------------
 
@@ -151,7 +198,6 @@ class ExactEnumerator:
         focal_factors: Sequence[float],
         rival_factors: Sequence[float],
         total_reward: float = 1.0,
-        threads: int | None = None,
     ) -> np.ndarray:
         """Expected focal payoff for each (oracle count, reward factor) pair.
 
@@ -160,100 +206,47 @@ class ExactEnumerator:
         rival factors of every rival that also matched.
         """
         cs = [int(c) for c in focal_counts]
-        fs = [float(f) for f in focal_factors]
+        fs = np.asarray(focal_factors, dtype=np.float64)[:, None]
         if len(cs) != len(fs):
             raise ValueError("focal_counts and focal_factors must align")
         if any(c < 1 for c in cs):
             raise ValueError("focal oracle count must be >= 1")
-        rf = np.asarray(rival_factors, dtype=np.float64)
-        if rf.size != self.num_rivals:
+        if len(rival_factors) != self.num_rivals:
             raise ValueError(f"expected {self.num_rivals} rival factors")
-        k = self.num_classes
-        truth_weight = self.prior[:, None] * self.confusion  # (K truth, K report)
+        missing = sorted({c for c in cs if c not in self._win})
+        if missing:
+            self._win_tables(missing)
+        table = np.stack([self._win[c] for c in cs])
+        groups = Counter(zip(self.mults, map(float, rival_factors)))
+        shape = tuple((m, n) for (m, _), n in groups.items())
+        factor = [f for _, f in groups]
+        cut, low, split, weight, k_index = self._split_grid(shape)
+        inner = np.asarray(factor[cut:]) @ split
+        out = np.zeros(len(cs))
+        head = list(zip(shape, factor, low))[:cut]
+        for outer in itertools.product(*(range(lo, n + 1) for (_, n), _, lo in head)):
+            m, k, sets = 0, 0, 1
+            for ((mult, n), f, _), a in zip(head, outer):
+                m += f * a
+                k += self._k_stride[mult] * a
+                sets *= math.comb(n, a)
+            share = fs / (fs + m + inner)
+            out += (table[:, k + k_index] * share) @ (sets * weight)
+        return out * float(total_reward)
 
-        def worker(ch: _ChunkArrays) -> np.ndarray:
-            out = np.zeros(len(cs))
-            for v in range(k):
-                matched = np.zeros(ch.digits.shape[0])
-                for j in range(self.num_rivals):
-                    matched += rf[j] * (ch.digits[:, j] == v)
-                base = ch.counts[:, v]
-                weights = truth_weight[:, v]
-                for i, (c, f) in enumerate(zip(cs, fs)):
-                    votes = base + c
-                    win_mass = (votes > ch.rival_max[v]) + (
-                        votes == ch.rival_max[v]
-                    ) * ch.inv_tie[v]
-                    payoff = win_mass * (f / (f + matched))
-                    out[i] += float(weights @ (ch.probs @ payoff))
-            return out
-
-        return self._map_reduce(worker, threads) * float(total_reward)
-
-    def error_rates(
-        self,
-        focal_counts: Sequence[int],
-        threads: int | None = None,
-    ) -> np.ndarray:
+    def error_rates(self, focal_counts: Sequence[int]) -> np.ndarray:
         """Probability the decided output differs from the truth, per focal count."""
         cs = [int(c) for c in focal_counts]
         if any(c < 1 for c in cs):
             raise ValueError("focal oracle count must be >= 1")
-        k = self.num_classes
+        votes, probs = self._vote_distribution
         truth_weight = self.prior[:, None] * self.confusion
-
-        def worker(ch: _ChunkArrays) -> np.ndarray:
-            out = np.zeros(len(cs))
-            for v in range(k):
-                base = ch.counts[:, v]
-                for i, c in enumerate(cs):
-                    votes = base + c
-                    top = np.maximum(ch.rival_max[v], votes)
-                    n_winners = (votes == top).astype(np.float64)
-                    for other in range(k):
-                        if other != v:
-                            n_winners += ch.counts[:, other] == top
-                    inv_winners = 1.0 / n_winners
-                    for truth in range(k):
-                        hit = votes == top if truth == v else ch.counts[:, truth] == top
-                        correct_mass = hit * inv_winners
-                        out[i] += truth_weight[truth, v] * float(
-                            ch.probs[truth] @ (1.0 - correct_mass)
-                        )
-            return out
-
-        return self._map_reduce(worker, threads)
-
-
-_engines: "OrderedDict[tuple, ExactEnumerator]" = OrderedDict()
-
-
-def get_enumerator(
-    confusion: np.ndarray,
-    prior: np.ndarray,
-    rival_multiplicities: Sequence[int],
-    chunk_size: int = DEFAULT_CHUNK,
-) -> ExactEnumerator:
-    """Engine factory with a small cache keyed by the full problem statics.
-
-    Callers evaluating many (oracle count, exponent) points against the same
-    network share one engine and therefore its enumerated chunks.
-    """
-    confusion = np.ascontiguousarray(confusion, dtype=np.float64)
-    prior = np.ascontiguousarray(prior, dtype=np.float64)
-    key = (
-        confusion.shape[0],
-        confusion.tobytes(),
-        prior.tobytes(),
-        tuple(int(m) for m in rival_multiplicities),
-        int(chunk_size),
-    )
-    engine = _engines.get(key)
-    if engine is None:
-        engine = ExactEnumerator(confusion, prior, rival_multiplicities, chunk_size)
-        _engines[key] = engine
-        while len(_engines) > _ENGINE_CACHE_SIZE:
-            _engines.popitem(last=False)
-    else:
-        _engines.move_to_end(key)
-    return engine
+        out = np.zeros(len(cs))
+        for i, c in enumerate(cs):
+            for v in range(self.num_classes):
+                tally = votes.copy()
+                tally[:, v] += c
+                hits = tally == tally.max(axis=1, keepdims=True)
+                miss = 1.0 - hits / hits.sum(axis=1, keepdims=True)  # (state, truth)
+                out[i] += truth_weight[:, v] @ np.einsum("ts,st->t", probs, miss)
+        return out

@@ -10,17 +10,15 @@ file behind.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import _montecarlo
 from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
-from .enumeration import DEFAULT_BUDGET, get_enumerator
-from .model import Strategy, SystemConfig, require_valid
+from .enumeration import DEFAULT_BUDGET, ExactEnumerator
+from .model import Strategy, SystemConfig, require_valid, resolve_strategies, write_text_atomic
 from .payoff import (
     EXACT,
     MONTE_CARLO,
@@ -74,60 +72,37 @@ class SweepRow:
     error_stderr: float
 
 
-def _resolve_profiles(
-    config: SystemConfig, strategies: Mapping[int, Strategy] | None
-) -> tuple[list[int], list[Strategy]]:
-    resolved = config.default_strategies()
-    for user_id, strategy in (strategies or {}).items():
-        problems = strategy.violations_for_stake(config.user(user_id).total_stake)
-        if problems:
-            raise ValueError(f"user {user_id}: " + "; ".join(problems))
-        resolved[user_id] = strategy
-    ordered = [u.user_id for u in config.users]
-    return ordered, [resolved[m] for m in ordered]
-
-
 def _exact_error_rates(
     config: SystemConfig,
     focal_user: int,
     focal_counts: Sequence[int],
-    other_strategies: Mapping[int, Strategy] | None,
+    strategies: Mapping[int, Strategy],
     budget: int,
-    threads: int | None,
 ) -> np.ndarray:
-    """Error rate for each focal oracle count, sharing one enumeration pass."""
-    ordered, resolved = _resolve_profiles(config, other_strategies)
-    rival_mults = [
-        s.oracle_count for m, s in zip(ordered, resolved) if m != focal_user
-    ]
-    engine = get_enumerator(
+    """Error rate for each focal oracle count from one engine."""
+    rival_mults = [s.oracle_count for m, s in strategies.items() if m != focal_user]
+    engine = ExactEnumerator(
         config.confusion.entries, config.prior.probabilities, rival_mults
     )
     engine.check_budget(budget)
-    return engine.error_rates(focal_counts, threads=threads)
+    return engine.error_rates(focal_counts)
 
 
 def error_rate_exact(
     config: SystemConfig,
     strategies: Mapping[int, Strategy] | None = None,
     budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
 ) -> float:
     """Exact probability that the decided output differs from the truth.
 
     Independent of the reward exponent: only oracle counts matter.
     """
     require_valid(config)
-    ordered, resolved = _resolve_profiles(config, strategies)
-    focal = ordered[0]
+    resolved = resolve_strategies(config, strategies)
+    focal = config.users[0].user_id
     return float(
         _exact_error_rates(
-            config,
-            focal,
-            [resolved[0].oracle_count],
-            {m: s for m, s in zip(ordered, resolved) if m != focal},
-            budget,
-            threads,
+            config, focal, [resolved[focal].oracle_count], resolved, budget
         )[0]
     )
 
@@ -140,11 +115,11 @@ def error_rate_mc(
 ) -> tuple[float, float]:
     """Sampled estimate of the error rate with its standard error."""
     require_valid(config)
-    ordered, resolved = _resolve_profiles(config, strategies)
+    resolved = resolve_strategies(config, strategies)
     return _montecarlo.error_rate_mc_core(
         config.confusion.entries,
         config.prior.probabilities,
-        [s.oracle_count for s in resolved],
+        [s.oracle_count for s in resolved.values()],
         samples,
         seed,
     )
@@ -153,29 +128,25 @@ def error_rate_mc(
 def run_experiment(
     spec: ExperimentSpec,
     budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
 ) -> list[SweepRow]:
     """Evaluate payoff and error rate over the (c, d) grid of a spec.
 
     The focal user plays the concentrated allocation at each c; everyone else
     runs a single full-stake oracle. Rows are ordered by (d, c). Error rates
     are computed once per c and reused across d. Deterministic for a fixed
-    seed regardless of thread count.
+    seed.
     """
     config = spec.config
     stake = config.user(spec.focal_user).total_stake
     counts = list(spec.c_values)
     if spec.method == EXACT:
-        error_by_c = dict(
-            zip(counts, _exact_error_rates(config, spec.focal_user, counts, None,
-                                           budget, threads))
-        )
+        error_by_c = dict(zip(counts, _exact_error_rates(
+            config, spec.focal_user, counts, config.default_strategies(), budget
+        )))
         error_stderr_by_c = {c: 0.0 for c in counts}
         payoff_cell = {}
         for d in spec.d_values:
-            values = concentrated_payoffs(
-                config, spec.focal_user, d, counts, budget=budget, threads=threads
-            )
+            values = concentrated_payoffs(config, spec.focal_user, d, counts, budget=budget)
             for c, value in zip(counts, values):
                 payoff_cell[(c, d)] = (float(value), 0.0)
     else:
@@ -245,12 +216,8 @@ def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
-    """Write the fixed-schema sweep CSV atomically (write then rename)."""
-    path = Path(path)
-    text = sweep_rows_to_csv(rows)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write the fixed-schema sweep CSV atomically."""
+    write_text_atomic(path, sweep_rows_to_csv(rows))
 
 
 def experiment_from_dict(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -240,6 +241,20 @@ class SystemConfig:
         return {u.user_id: Strategy.single(u.total_stake) for u in self.users}
 
 
+def resolve_strategies(
+    config: SystemConfig, overrides: Mapping[int, Strategy] | None = None
+) -> dict[int, Strategy]:
+    """Every user's strategy in config order: the defaults with `overrides`
+    applied. Raises ValueError on an unknown user or an infeasible strategy."""
+    strategies = config.default_strategies()
+    for user_id, strategy in (overrides or {}).items():
+        problems = strategy.violations_for_stake(config.user(user_id).total_stake)
+        if problems:
+            raise ValueError(f"user {user_id}: " + "; ".join(problems))
+        strategies[user_id] = strategy
+    return strategies
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """All invariant violations found, plus the weak-accuracy predicate."""
@@ -316,8 +331,24 @@ def sample_report(
 
 
 # ---------------------------------------------------------------------------
-# Config document I/O (JSON)
+# Config document I/O (JSON) and output files
 # ---------------------------------------------------------------------------
+
+def write_text_atomic(path, text: str) -> None:
+    """Write `text` to a sibling temporary file, then rename it over `path`.
+
+    Readers see the old file or the new one, never a partial write; if any
+    step fails the temporary file is removed and `path` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 def read_config_document(path) -> dict:
     """Parse a JSON config document, raising ConfigFormatError on unreadable input."""

@@ -1,11 +1,12 @@
 """Expected payoff of a (possibly mirroring) user, exact and Monte Carlo.
 
-The exact path enumerates every joint rival-report vector (the engine in
-`enumeration`); the Monte Carlo path samples full rounds. Both integrate the
-uniform tie-break analytically or by sampling, respectively. Concentrating
-all stake beyond the per-oracle minimum on a single oracle maximizes the
-reward factor for a fixed oracle count, so the concentrated allocation is
-the canonical mirroring strategy and the one the best-response search uses.
+The exact path sums over rival report counts (the engine in `enumeration`,
+which treats rivals as exchangeable apart from oracle count and reward
+factor) and integrates the uniform tie-break analytically; the Monte Carlo
+path samples full rounds, tie-breaks included. Concentrating all stake
+beyond the per-oracle minimum on a single oracle maximizes the reward factor
+for a fixed oracle count, so the concentrated allocation is the canonical
+mirroring strategy and the one the best-response search uses.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 
 from . import _montecarlo
 from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
-from .enumeration import DEFAULT_BUDGET, get_enumerator
+from .enumeration import DEFAULT_BUDGET, ExactEnumerator
 from .incentive import allocation_factor
-from .model import Strategy, SystemConfig, require_valid
+from .model import Strategy, SystemConfig, require_valid, resolve_strategies
 
 EXACT = "exact"
 MONTE_CARLO = "monte_carlo"
@@ -44,18 +45,10 @@ class PayoffQuery:
         require_valid(self.config)
         if self.d < 1.0:
             raise ValueError(f"exponent must be >= 1, got {self.d!r}")
-        strategies = self.config.default_strategies()
         self.config.user(self.focal_user)  # raises on unknown id
         overrides = dict(self.other_strategies or {})
         overrides[self.focal_user] = self.focal_strategy
-        for user_id, strategy in overrides.items():
-            problems = strategy.violations_for_stake(
-                self.config.user(user_id).total_stake
-            )
-            if problems:
-                raise ValueError(f"user {user_id}: " + "; ".join(problems))
-            strategies[user_id] = strategy
-        return strategies
+        return resolve_strategies(self.config, overrides)
 
 
 @dataclass(frozen=True)
@@ -85,7 +78,7 @@ def _engine_inputs(query: PayoffQuery):
     strategies = query.resolved_strategies()
     rivals = [u.user_id for u in query.config.users if u.user_id != query.focal_user]
     rival_mults = [strategies[m].oracle_count for m in rivals]
-    engine = get_enumerator(
+    engine = ExactEnumerator(
         query.config.confusion.entries,
         query.config.prior.probabilities,
         rival_mults,
@@ -96,9 +89,8 @@ def _engine_inputs(query: PayoffQuery):
 def expected_payoff_exact(
     query: PayoffQuery,
     budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
 ) -> PayoffEstimate:
-    """Exact expected payoff by full enumeration (refuses over-budget spaces)."""
+    """Exact expected payoff (refuses networks over the term budget)."""
     engine, strategies, rivals = _engine_inputs(query)
     engine.check_budget(budget)
     focal_factor = allocation_factor(strategies[query.focal_user].allocation, query.d)
@@ -108,7 +100,6 @@ def expected_payoff_exact(
         [focal_factor],
         rival_factors,
         total_reward=query.config.total_reward,
-        threads=threads,
     )[0]
     return PayoffEstimate(value=float(value), method=EXACT)
 
@@ -144,12 +135,10 @@ def concentrated_payoffs(
     d: float,
     oracle_counts,
     budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
 ) -> np.ndarray:
-    """Exact payoffs for several concentrated oracle counts in one engine pass.
+    """Exact payoffs for several concentrated oracle counts in one engine query.
 
-    Rivals run single full-stake oracles. Shares the enumerated chunks and the
-    per-class rival-factor sums across all requested counts.
+    Rivals run single full-stake oracles.
     """
     stake = config.user(focal_user).total_stake
     counts = [int(c) for c in oracle_counts]
@@ -171,7 +160,6 @@ def concentrated_payoffs(
         factors,
         rival_factors,
         total_reward=config.total_reward,
-        threads=threads,
     )
 
 
@@ -183,7 +171,6 @@ def best_response_c(
     samples: int = DEFAULT_MC_SAMPLES,
     seed: int = DEFAULT_SEED,
     budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
 ) -> int:
     """Oracle count maximizing the focal user's expected payoff.
 
@@ -193,9 +180,7 @@ def best_response_c(
     stake = config.user(focal_user).total_stake
     counts = list(range(1, stake + 1))
     if method == EXACT:
-        values = concentrated_payoffs(
-            config, focal_user, d, counts, budget=budget, threads=threads
-        )
+        values = concentrated_payoffs(config, focal_user, d, counts, budget=budget)
     elif method == MONTE_CARLO:
         seeds = np.random.SeedSequence(seed).generate_state(len(counts))
         values = np.array(

@@ -22,15 +22,17 @@ from typing import Sequence
 import numpy as np
 
 from .constants import DEFAULT_SEED
-from .enumeration import DEFAULT_BUDGET, get_enumerator
+from .enumeration import DEFAULT_BUDGET, ExactEnumerator
 from .incentive import stake_power
 from .model import (
     ClassPrior,
     ConfusionMatrix,
+    Strategy,
     SystemConfig,
     UserProfile,
     require_valid,
 )
+from .payoff import PayoffQuery, expected_payoff_mc
 
 _TIGHTNESS_TOL = 1e-12
 
@@ -130,17 +132,15 @@ class _CheckEvaluator:
     """Evaluates both sides of one deviation check, exactly when affordable.
 
     All rivals run single full-stake oracles, so every focal user shares the
-    same enumeration engine; single-oracle payoffs are cached per (user, d).
+    same engine; single-oracle payoffs are cached per (user, d).
     """
 
-    def __init__(self, config: SystemConfig, settings: SolverSettings,
-                 threads: int | None):
+    def __init__(self, config: SystemConfig, settings: SolverSettings):
         self.config = config
         self.settings = settings
-        self.threads = threads
         self.users = sorted(config.users, key=lambda u: u.user_id)
         n_rivals = len(self.users) - 1
-        self.engine = get_enumerator(
+        self.engine = ExactEnumerator(
             config.confusion.entries,
             config.prior.probabilities,
             (1,) * n_rivals,
@@ -161,7 +161,7 @@ class _CheckEvaluator:
         if single_key in self._singles:
             mirror = self.engine.payoffs(
                 [c], [mirror_factor], rival_factors,
-                total_reward=self.config.total_reward, threads=self.threads,
+                total_reward=self.config.total_reward,
             )[0]
             return self._singles[single_key], float(mirror)
         single, mirror = self.engine.payoffs(
@@ -169,16 +169,12 @@ class _CheckEvaluator:
             [stake_power(stake, d), mirror_factor],
             rival_factors,
             total_reward=self.config.total_reward,
-            threads=self.threads,
         )
         self._singles[single_key] = float(single)
         return float(single), float(mirror)
 
     def _mc_pair(self, user_id: int, c: int, d: float,
                  grid_index: int) -> tuple[float, float, float]:
-        from .model import Strategy
-        from .payoff import PayoffQuery, expected_payoff_mc
-
         stake = self.config.user(user_id).total_stake
         results = []
         for side, strategy in enumerate(
@@ -221,14 +217,13 @@ def verify_nash(
     config: SystemConfig,
     d: float,
     settings: SolverSettings | None = None,
-    threads: int | None = None,
 ) -> NashCertificate:
     """Check every unilateral mirroring deviation at a given exponent."""
     require_valid(config)
     if d < 1.0:
         raise ValueError(f"exponent must be >= 1, got {d!r}")
     settings = settings or SolverSettings()
-    evaluator = _CheckEvaluator(config, settings, threads)
+    evaluator = _CheckEvaluator(config, settings)
     checks = tuple(
         evaluator.check(user_id, c, d, grid_index=0)
         for user_id, c in _deviations(config)
@@ -239,7 +234,6 @@ def verify_nash(
 def find_d_opt(
     config: SystemConfig,
     settings: SolverSettings | None = None,
-    threads: int | None = None,
     diagnostics: dict | None = None,
 ) -> tuple[float, NashCertificate]:
     """Smallest grid exponent at which no unilateral mirroring deviation pays.
@@ -269,14 +263,14 @@ def find_d_opt(
             NashCertificate(d=settings.starting_d, checks=(), satisfied=True),
         )
 
-    evaluator = _CheckEvaluator(config, settings, threads)
+    evaluator = _CheckEvaluator(config, settings)
     warm: tuple[int, int] | None = None
     index = 0
     while True:
         d = settings.starting_d + index * settings.epsilon
         if d > settings.d_max + 1e-12:
             last_d = settings.starting_d + (index - 1) * settings.epsilon
-            full = verify_nash(config, last_d, settings, threads)
+            full = verify_nash(config, last_d, settings)
             raise DMaxExceededError(settings.d_max, full.tightest_violation())
         order = deviations
         if warm in deviations:
@@ -328,7 +322,6 @@ def find_d_opt_from_oracle_stakes(
     settings: SolverSettings | None = None,
     prior: ClassPrior | None = None,
     total_reward: float = 1.0,
-    threads: int | None = None,
     diagnostics: dict | None = None,
 ) -> tuple[float, NashCertificate]:
     """Run the exponent search on observed per-oracle stakes.
@@ -347,4 +340,4 @@ def find_d_opt_from_oracle_stakes(
         prior=prior,
         total_reward=total_reward,
     )
-    return find_d_opt(synthetic, settings, threads=threads, diagnostics=diagnostics)
+    return find_d_opt(synthetic, settings, diagnostics=diagnostics)

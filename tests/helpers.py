@@ -30,6 +30,34 @@ def random_config(rng, max_users=4, max_classes=3, max_stake=5, uniform_prior=Tr
     )
 
 
+def grouped_instance(rng):
+    """Config with 5-6 users plus a strategy per user, built so that rivals
+    share groups: stakes come in equal pairs whose two users run the same
+    concentrated strategy (one (multiplicity, factor) group), and the pairs
+    run different oracle counts (several multiplicity groups).
+    """
+    num_users = int(rng.integers(5, 7))
+    num_classes = int(rng.integers(2, 4))
+    pair_stakes = [int(s) for s in rng.integers(2, 5, size=(num_users + 1) // 2)]
+    pair_counts = [1, pair_stakes[1]] + [
+        int(rng.integers(1, s + 1)) for s in pair_stakes[2:]
+    ]
+    pairs = [i % len(pair_stakes) for i in rng.permutation(num_users)]
+    cfg = fs.SystemConfig(
+        num_classes=num_classes,
+        confusion=fs.ConfusionMatrix(weakly_accurate_matrix(rng, num_classes)),
+        users=tuple(
+            fs.UserProfile(i + 1, pair_stakes[p]) for i, p in enumerate(pairs)
+        ),
+        prior=fs.ClassPrior(rng.dirichlet(np.ones(num_classes))),
+    )
+    strategies = {
+        i + 1: fs.Strategy.concentrated(pair_stakes[p], pair_counts[p])
+        for i, p in enumerate(pairs)
+    }
+    return cfg, strategies
+
+
 def random_solvable_config(rng, max_users=4, max_classes=3):
     """Random config in which no user can force wins by mirroring.
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -84,6 +85,29 @@ def test_solve_d_writes_certificate(trio_path, tmp_path, capsys):
     manifest = json.loads((tmp_path / "cert.json.manifest.json").read_text())
     assert manifest["command"] == "solve-d"
     assert manifest["tool_version"] == fs.__version__
+
+
+def test_solve_d_failed_rename_keeps_old_certificate(trio_path, tmp_path, monkeypatch):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text("old certificate\n")
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["solve-d", trio_path, "--epsilon", "0.05", "--out", str(cert_path)]) == 2
+    assert cert_path.read_text() == "old certificate\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.json", "trio.json"]
+
+
+def test_factor_overflow_exits_1_without_traceback(tmp_path, capsys):
+    cfg = helpers.symmetric_binary_config([1000, 999, 998])
+    path = write_config(tmp_path / "big.json", cfg)
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["payoff", path, "--user", "1", "--d", "120"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_solve_d_from_oracle_stakes_matches(trio_path, capsys):

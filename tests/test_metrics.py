@@ -23,16 +23,24 @@ def test_single_voter_error_is_one_minus_accuracy(accuracy):
     assert fs.error_rate_exact(cfg) == pytest.approx(1.0 - accuracy, abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(6))
+# 5-6 users whose rivals share multiplicity groups, with mixed oracle
+# counts: shapes random_config never draws
+GROUPED_CASES = [pytest.param(("grouped", s), id=f"grouped{s}") for s in range(6)]
+
+
+@pytest.mark.parametrize("seed", [*range(6), *GROUPED_CASES])
 def test_error_rate_matches_bruteforce(seed):
-    rng = np.random.default_rng(600 + seed)
-    cfg = helpers.random_config(rng, uniform_prior=(seed % 2 == 0))
-    strategies = {
-        u.user_id: fs.optimal_allocation(
-            u.total_stake, int(rng.integers(1, u.total_stake + 1))
-        )
-        for u in cfg.users
-    }
+    if isinstance(seed, tuple):
+        cfg, strategies = helpers.grouped_instance(np.random.default_rng(950 + seed[1]))
+    else:
+        rng = np.random.default_rng(600 + seed)
+        cfg = helpers.random_config(rng, uniform_prior=(seed % 2 == 0))
+        strategies = {
+            u.user_id: fs.optimal_allocation(
+                u.total_stake, int(rng.integers(1, u.total_stake + 1))
+            )
+            for u in cfg.users
+        }
     got = fs.error_rate_exact(cfg, strategies)
     want = oracle.error_rate(
         cfg.confusion.entries.tolist(),

@@ -34,6 +34,21 @@ def test_sole_participant_takes_the_whole_reward():
         assert mc.value == 1.0 and mc.std_error == 0.0
 
 
+def test_certain_reports_need_one_split():
+    """With one class every rival matches the focal report, so the payoff is
+    the plain factor share; 40 distinct stakes would be 2^39 rival subsets."""
+    stakes = range(1, 41)
+    cfg = fs.SystemConfig(
+        num_classes=1,
+        confusion=fs.ConfusionMatrix.identity(1),
+        users=tuple(fs.UserProfile(i, s) for i, s in enumerate(stakes, start=1)),
+    )
+    d = 1.5
+    query = fs.PayoffQuery(cfg, 40, fs.Strategy.single(40), d)
+    expected = 40**d / sum(s**d for s in stakes)
+    assert fs.expected_payoff_exact(query).value == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("stakes,d", [((3, 2), 1.0), ((3, 2), 2.0), ((1, 1), 4.0)])
 def test_perfect_oracles_split_by_factor(stakes, d):
     cfg = fs.SystemConfig(
@@ -53,14 +68,23 @@ def test_frozen_symmetric_trio_value():
     assert value == pytest.approx(FROZEN_SYMMETRIC_TRIO_PAYOFF, abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(8))
+# 5-6 users whose rivals share (multiplicity, factor) groups, with mixed
+# oracle counts: shapes random_config never draws
+GROUPED_CASES = [pytest.param(("grouped", s), id=f"grouped{s}") for s in range(6)]
+
+
+@pytest.mark.parametrize("seed", [*range(8), *GROUPED_CASES])
 def test_exact_matches_bruteforce_on_random_instances(seed):
-    rng = np.random.default_rng(seed)
-    cfg = helpers.random_config(rng, uniform_prior=(seed % 2 == 0))
-    strategies = {}
-    for user in cfg.users:
-        c = int(rng.integers(1, user.total_stake + 1))
-        strategies[user.user_id] = fs.optimal_allocation(user.total_stake, c)
+    if isinstance(seed, tuple):
+        rng = np.random.default_rng(900 + seed[1])
+        cfg, strategies = helpers.grouped_instance(rng)
+    else:
+        rng = np.random.default_rng(seed)
+        cfg = helpers.random_config(rng, uniform_prior=(seed % 2 == 0))
+        strategies = {}
+        for user in cfg.users:
+            c = int(rng.integers(1, user.total_stake + 1))
+            strategies[user.user_id] = fs.optimal_allocation(user.total_stake, c)
     focal = int(rng.integers(1, cfg.num_users + 1))
     d = float(rng.uniform(1.0, 3.0))
     query = fs.PayoffQuery(
