@@ -14,7 +14,9 @@ counts of each group; it depends on neither d nor the factors. A query groups
 the rivals by (multiplicity, factor), sums f / (f + M) over every split of
 the matching rivals across those groups, weighted by the number of rival
 sets with that split (M is the split's factor sum), and takes one dot product
-with the table.
+with the table. A query may carry a leading axis of rows, one per exponent:
+rivals then share a group when their factors agree on every row, and each
+numpy pass covers as many rows as fit in one block of shares.
 
 Error rates depend on vote counts only: a DP over rivals gives the
 distribution of the rival vote-count vector per truth class, built once.
@@ -202,37 +204,57 @@ class ExactEnumerator:
         """Expected focal payoff for each (oracle count, reward factor) pair.
 
         The focal user casts `focal_counts[i]` identical votes and, when its
-        report is the decided output, earns `focal_factors[i]` against the
-        rival factors of every rival that also matched.
+        report is the decided output, earns `focal_factors[..., i]` against
+        the rival factors of every rival that also matched.
+
+        Both factor arguments may carry a leading axis of rows, one per
+        exponent: `(rows, counts)` focal and `(rows, rivals)` rival factors
+        give a `(rows, counts)` result. 1-D factors are the one-row case.
         """
         cs = [int(c) for c in focal_counts]
-        fs = np.asarray(focal_factors, dtype=np.float64)[:, None]
-        if len(cs) != len(fs):
+        fs = np.asarray(focal_factors, dtype=np.float64)
+        rf = np.asarray(rival_factors, dtype=np.float64)
+        one_row = fs.ndim == 1
+        if rf.ndim != fs.ndim or fs.ndim not in (1, 2):
+            raise ValueError("focal and rival factors must both be 1-D or both 2-D")
+        fs, rf = np.atleast_2d(fs), np.atleast_2d(rf)
+        if fs.shape[1] != len(cs):
             raise ValueError("focal_counts and focal_factors must align")
+        if len(fs) != len(rf):
+            raise ValueError("focal and rival factors must have the same rows")
         if any(c < 1 for c in cs):
             raise ValueError("focal oracle count must be >= 1")
-        if len(rival_factors) != self.num_rivals:
+        if rf.shape[1] != self.num_rivals:
             raise ValueError(f"expected {self.num_rivals} rival factors")
         missing = sorted({c for c in cs if c not in self._win})
         if missing:
             self._win_tables(missing)
         table = np.stack([self._win[c] for c in cs])
-        groups = Counter(zip(self.mults, map(float, rival_factors)))
+        # rivals whose factors agree on every row share a group
+        groups = Counter(zip(self.mults, map(tuple, rf.T.tolist())))
         shape = tuple((m, n) for (m, _), n in groups.items())
-        factor = [f for _, f in groups]
+        factor = np.array([f for _, f in groups], dtype=np.float64).reshape(len(shape), len(rf)).T
         cut, low, split, weight, k_index = self._split_grid(shape)
-        inner = np.asarray(factor[cut:]) @ split
-        out = np.zeros(len(cs))
-        head = list(zip(shape, factor, low))[:cut]
-        for outer in itertools.product(*(range(lo, n + 1) for (_, n), _, lo in head)):
-            m, k, sets = 0, 0, 1
-            for ((mult, n), f, _), a in zip(head, outer):
-                m += f * a
-                k += self._k_stride[mult] * a
-                sets *= math.comb(n, a)
-            share = fs / (fs + m + inner)
-            out += (table[:, k + k_index] * share) @ (sets * weight)
-        return out * float(total_reward)
+        head = list(zip(shape, low))[:cut]
+        step = max(1, _BLOCK // split.shape[1])  # rows per pass: at most one block of shares
+        out = np.zeros(fs.shape)
+        for start in range(0, len(fs), step):
+            rows = slice(start, start + step)
+            f = fs[rows, :, None]
+            inner = factor[rows, cut:] @ split
+            for outer in itertools.product(*(range(lo, n + 1) for (_, n), lo in head)):
+                k, sets = 0, 1
+                for ((mult, n), _), a in zip(head, outer):
+                    k += self._k_stride[mult] * a
+                    sets *= math.comb(n, a)
+                m = factor[rows, :cut] @ np.asarray(outer, dtype=np.float64)
+                # in place: a fresh temporary this size would be paged in anew
+                share = f + m[:, None, None] + inner[:, None, :]
+                np.divide(f, share, out=share)
+                share *= table[:, k + k_index]
+                out[rows] += share @ (sets * weight)
+        out *= float(total_reward)
+        return out[0] if one_row else out
 
     def error_rates(self, focal_counts: Sequence[int]) -> np.ndarray:
         """Probability the decided output differs from the truth, per focal count."""

@@ -140,15 +140,17 @@ def run_experiment(
     stake = config.user(spec.focal_user).total_stake
     counts = list(spec.c_values)
     if spec.method == EXACT:
+        # one engine query answers every d of the sweep
+        values = concentrated_payoffs(config, spec.focal_user, spec.d_values, counts, budget)
         error_by_c = dict(zip(counts, _exact_error_rates(
             config, spec.focal_user, counts, config.default_strategies(), budget
         )))
         error_stderr_by_c = {c: 0.0 for c in counts}
-        payoff_cell = {}
-        for d in spec.d_values:
-            values = concentrated_payoffs(config, spec.focal_user, d, counts, budget=budget)
-            for c, value in zip(counts, values):
-                payoff_cell[(c, d)] = (float(value), 0.0)
+        payoff_cell = {
+            (c, d): (value, 0.0)
+            for d, row in zip(spec.d_values, values.tolist())
+            for c, value in zip(counts, row)
+        }
     else:
         error_by_c = {}
         error_stderr_by_c = {}

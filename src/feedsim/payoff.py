@@ -12,7 +12,7 @@ mirroring strategy and the one the best-response search uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -73,32 +73,24 @@ def optimal_allocation(total_stake: int, oracle_count: int) -> Strategy:
     return Strategy.concentrated(total_stake, oracle_count)
 
 
-def _engine_inputs(query: PayoffQuery):
-    """(engine, focal strategy, ordered rival strategies) for a query."""
-    strategies = query.resolved_strategies()
-    rivals = [u.user_id for u in query.config.users if u.user_id != query.focal_user]
-    rival_mults = [strategies[m].oracle_count for m in rivals]
-    engine = ExactEnumerator(
-        query.config.confusion.entries,
-        query.config.prior.probabilities,
-        rival_mults,
-    )
-    return engine, strategies, rivals
-
-
 def expected_payoff_exact(
     query: PayoffQuery,
     budget: int = DEFAULT_BUDGET,
 ) -> PayoffEstimate:
     """Exact expected payoff (refuses networks over the term budget)."""
-    engine, strategies, rivals = _engine_inputs(query)
+    strategies = query.resolved_strategies()
+    rivals = [strategies[u.user_id] for u in query.config.users if u.user_id != query.focal_user]
+    engine = ExactEnumerator(
+        query.config.confusion.entries,
+        query.config.prior.probabilities,
+        [s.oracle_count for s in rivals],
+    )
     engine.check_budget(budget)
-    focal_factor = allocation_factor(strategies[query.focal_user].allocation, query.d)
-    rival_factors = [allocation_factor(strategies[m].allocation, query.d) for m in rivals]
+    focal = strategies[query.focal_user]
     value = engine.payoffs(
-        [strategies[query.focal_user].oracle_count],
-        [focal_factor],
-        rival_factors,
+        [focal.oracle_count],
+        [allocation_factor(focal.allocation, query.d)],
+        [allocation_factor(s.allocation, query.d) for s in rivals],
         total_reward=query.config.total_reward,
     )[0]
     return PayoffEstimate(value=float(value), method=EXACT)
@@ -129,38 +121,44 @@ def expected_payoff_mc(
     )
 
 
+def single_oracle_rivals(config: SystemConfig) -> ExactEnumerator:
+    """The engine for any focal user whose rivals each run one oracle."""
+    return ExactEnumerator(
+        config.confusion.entries,
+        config.prior.probabilities,
+        (1,) * (config.num_users - 1),
+    )
+
+
 def concentrated_payoffs(
     config: SystemConfig,
     focal_user: int,
-    d: float,
+    d: float | Sequence[float],
     oracle_counts,
     budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
     """Exact payoffs for several concentrated oracle counts in one engine query.
 
-    Rivals run single full-stake oracles.
+    Rivals run single full-stake oracles. A scalar `d` gives one payoff per
+    count; a sequence of exponents gives one row of them per exponent.
     """
+    require_valid(config)
     stake = config.user(focal_user).total_stake
     counts = [int(c) for c in oracle_counts]
-    base_query = PayoffQuery(
-        config=config,
-        focal_user=focal_user,
-        focal_strategy=Strategy.single(stake),
-        d=d,
-    )
-    engine, strategies, rivals = _engine_inputs(base_query)
+    ds = [float(x) for x in np.atleast_1d(d)]
+    if any(x < 1.0 for x in ds):
+        raise ValueError(f"exponent must be >= 1, got {d!r}")
+    allocations = [optimal_allocation(stake, c).allocation for c in counts]
+    rivals = [(u.total_stake,) for u in config.users if u.user_id != focal_user]
+    engine = single_oracle_rivals(config)
     engine.check_budget(budget)
-    factors = []
-    for c in counts:
-        alloc = optimal_allocation(stake, c).allocation  # validates feasibility
-        factors.append(allocation_factor(alloc, d))
-    rival_factors = [allocation_factor(strategies[m].allocation, d) for m in rivals]
-    return engine.payoffs(
+    values = engine.payoffs(
         counts,
-        factors,
-        rival_factors,
+        [[allocation_factor(a, x) for a in allocations] for x in ds],
+        [[allocation_factor(a, x) for a in rivals] for x in ds],
         total_reward=config.total_reward,
     )
+    return values if np.ndim(d) else values[0]
 
 
 def best_response_c(

@@ -1,12 +1,14 @@
 """Grid search for the smallest exponent making single-oracle play a Nash equilibrium.
 
-The solver scans d over {start, start + eps, ...} and returns the first grid
-value at which no user can raise its expected payoff by running c >= 2
-mirrored oracles while everyone else runs one. Each candidate d is checked
-with a full sweep over (user, oracle count) pairs; any violation advances the
-grid by one step, so the returned value is minimal on the grid. Whether a
-check that once held can fail again at a larger d is not assumed: every
-evaluation is recorded and reversals can be audited from the diagnostics.
+Row i of the gap matrix holds mirror - single payoff for every deviation
+(user n running c >= 2 oracles while everyone else runs one) at the grid
+value round(start + i * eps, 12). The answer is the first row whose gaps are
+all <= 0, so it is minimal on the grid. Exactly, rows come in blocks: one
+engine call per user covers all its oracle counts at every exponent of the
+block, and the certificate, evaluations, grid points and reversals are read
+off those rows. Over the term budget each check is two Monte Carlo runs, and
+sampled rows go one at a time, starting from the last violation seen and,
+under `fail_fast`, stopping at the first.
 
 A variant accepts the observed per-oracle stake vector in place of the
 (unobservable) per-user staking powers; when every user actually runs one
@@ -15,6 +17,7 @@ oracle the two inputs coincide and the outputs are identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import DEFAULT_SEED
-from .enumeration import DEFAULT_BUDGET, ExactEnumerator
+from .enumeration import DEFAULT_BUDGET
 from .incentive import stake_power
 from .model import (
     ClassPrior,
@@ -32,19 +35,24 @@ from .model import (
     UserProfile,
     require_valid,
 )
-from .payoff import PayoffQuery, expected_payoff_mc
+from .payoff import PayoffQuery, expected_payoff_mc, single_oracle_rivals
 
 _TIGHTNESS_TOL = 1e-12
+_BLOCK_ROWS = 16  # grid rows per engine call on the exact path
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Grid parameters and evaluation policy for the exponent search."""
+    """Grid parameters and evaluation policy for the exponent search.
+
+    `fail_fast` is ignored when the network fits the enumeration budget:
+    exact rows are always complete.
+    """
 
     epsilon: float = 0.01
     d_max: float = 16.0
     starting_d: float = 1.0
-    fail_fast: bool = True            # stop a sweep at its first violation
+    fail_fast: bool = True            # Monte Carlo only: end a sampled row at its first violation
     enumeration_budget: int = DEFAULT_BUDGET
     mc_samples: int = 1_000_000
     mc_margin: float = 4.0            # stderr multiples before a sampled check counts as violated
@@ -77,6 +85,10 @@ class NashCheck:
         """Positive when mirroring pays."""
         return self.payoff_mirror - self.payoff_single
 
+    def to_dict(self) -> dict:
+        return {"n": self.user_id, "c": self.oracle_count,
+                "payoff_single": self.payoff_single, "payoff_mirror": self.payoff_mirror}
+
 
 @dataclass(frozen=True)
 class NashCertificate:
@@ -99,15 +111,7 @@ class NashCertificate:
     def to_dict(self) -> dict:
         return {
             "d": self.d,
-            "checks": [
-                {
-                    "n": c.user_id,
-                    "c": c.oracle_count,
-                    "payoff_single": c.payoff_single,
-                    "payoff_mirror": c.payoff_mirror,
-                }
-                for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
             "satisfied": self.satisfied,
         }
 
@@ -128,53 +132,64 @@ class DMaxExceededError(RuntimeError):
         super().__init__(f"no exponent up to d_max={d_max} suppresses mirroring{detail}")
 
 
-class _CheckEvaluator:
-    """Evaluates both sides of one deviation check, exactly when affordable.
-
-    All rivals run single full-stake oracles, so every focal user shares the
-    same engine; single-oracle payoffs are cached per (user, d).
-    """
+class _Gaps:
+    """Rows of the gap matrix: both sides of every deviation check at each
+    grid exponent. Rivals run single full-stake oracles, so every focal user
+    shares one engine."""
 
     def __init__(self, config: SystemConfig, settings: SolverSettings):
         self.config = config
         self.settings = settings
         self.users = sorted(config.users, key=lambda u: u.user_id)
-        n_rivals = len(self.users) - 1
-        self.engine = ExactEnumerator(
-            config.confusion.entries,
-            config.prior.probabilities,
-            (1,) * n_rivals,
-        )
-        self.exact = self.engine.term_count <= settings.enumeration_budget
-        self._singles: dict[tuple[int, float], float] = {}
-
-    def _rival_factors(self, user_id: int, d: float) -> list[float]:
-        return [
-            stake_power(u.total_stake, d) for u in self.users if u.user_id != user_id
+        self.deviations = [
+            (u.user_id, c) for u in self.users for c in range(2, u.total_stake + 1)
         ]
+        self.engine = single_oracle_rivals(config)
+        self.exact = self.engine.term_count <= settings.enumeration_budget
 
-    def _exact_pair(self, user_id: int, c: int, d: float) -> tuple[float, float]:
-        stake = self.config.user(user_id).total_stake
-        rival_factors = self._rival_factors(user_id, d)
-        single_key = (user_id, d)
-        mirror_factor = (c - 1) + stake_power(stake - c + 1, d)
-        if single_key in self._singles:
-            mirror = self.engine.payoffs(
-                [c], [mirror_factor], rival_factors,
-                total_reward=self.config.total_reward,
-            )[0]
-            return self._singles[single_key], float(mirror)
-        single, mirror = self.engine.payoffs(
-            [1, c],
-            [stake_power(stake, d), mirror_factor],
-            rival_factors,
-            total_reward=self.config.total_reward,
-        )
-        self._singles[single_key] = float(single)
-        return float(single), float(mirror)
+    def grid_d(self, index: int) -> float | None:
+        """Row `index`'s exponent, or None past d_max."""
+        d = round(self.settings.starting_d + index * self.settings.epsilon, 12)
+        return d if d <= self.settings.d_max + 1e-12 else None
 
-    def _mc_pair(self, user_id: int, c: int, d: float,
-                 grid_index: int) -> tuple[float, float, float]:
+    def exact_rows(self, ds: Sequence[float]):
+        """(all checks hold, checks) at each exponent in `ds` in turn, from
+        one engine call per user; `checks()` builds a row's checks on demand.
+
+        The block ends before the first exponent at which a stake factor
+        overflows, so only a row the search reaches can raise.
+        """
+        stakes = [u.total_stake for u in self.users]
+        power = []
+        for d in ds:
+            try:
+                power.append([stake_power(s, d) for s in range(1, max(stakes) + 1)])
+            except OverflowError:
+                if not power:
+                    raise
+                break
+        power = np.array(power)
+        holds, values = np.ones(len(power), dtype=bool), []
+        for i, user in enumerate(self.users):
+            if user.total_stake < 2:
+                continue
+            counts = np.arange(1, user.total_stake + 1)
+            # c oracles: c - 1 holding stake 1 and one holding the rest
+            focal = (counts - 1) + power[:, user.total_stake - counts]
+            rivals = power[:, [s - 1 for j, s in enumerate(stakes) if j != i]]
+            payoffs = self.engine.payoffs(
+                counts, focal, rivals, total_reward=self.config.total_reward
+            )
+            holds &= (payoffs[:, 1:] <= payoffs[:, :1]).all(axis=1)
+            values.append((user.user_id, payoffs))
+        for row, satisfied in enumerate(holds.tolist()):
+            yield satisfied, lambda row=row: tuple(
+                NashCheck(n, c, float(payoffs[row, 0]), mirror)
+                for n, payoffs in values
+                for c, mirror in enumerate(payoffs[row, 1:].tolist(), start=2)
+            )
+
+    def mc_check(self, user_id: int, c: int, d: float, grid_index: int) -> NashCheck:
         stake = self.config.user(user_id).total_stake
         results = []
         for side, strategy in enumerate(
@@ -192,25 +207,42 @@ class _CheckEvaluator:
             )
         single, mirror = results
         margin = self.settings.mc_margin * math.hypot(single.std_error, mirror.std_error)
-        return single.value, mirror.value, margin
-
-    def check(self, user_id: int, c: int, d: float, grid_index: int) -> NashCheck:
-        if self.exact:
-            single, mirror = self._exact_pair(user_id, c, d)
-            return NashCheck(user_id, c, single, mirror)
-        single, mirror, margin = self._mc_pair(user_id, c, d, grid_index)
-        if mirror > single and mirror <= single + margin:
+        if single.value < mirror.value <= single.value + margin:
             # within sampling noise: count as holding to avoid inflating d
-            mirror = single
-        return NashCheck(user_id, c, single, mirror)
+            return NashCheck(user_id, c, single.value, single.value)
+        return NashCheck(user_id, c, single.value, mirror.value)
 
+    def rows(self):
+        """(d, all checks hold, checks) for each grid row up to d_max, where
+        `checks()` gives the row's checks in deviation order.
 
-def _deviations(config: SystemConfig) -> list[tuple[int, int]]:
-    return [
-        (u.user_id, c)
-        for u in sorted(config.users, key=lambda u: u.user_id)
-        for c in range(2, u.total_stake + 1)
-    ]
+        A sampled row starts from the last violation seen and ends at its
+        first violation under `fail_fast`; the last grid row is always
+        complete, so an exhausted search can name its tightest violation.
+        """
+        index = 0
+        while self.exact:
+            ds = [d for d in map(self.grid_d, range(index, index + _BLOCK_ROWS)) if d is not None]
+            if not ds:
+                return
+            for d, (satisfied, checks) in zip(ds, self.exact_rows(ds)):
+                index += 1
+                yield d, satisfied, checks
+        warm = None
+        for index in itertools.count():
+            d = self.grid_d(index)
+            if d is None:
+                return
+            fail_fast = self.settings.fail_fast and self.grid_d(index + 1) is not None
+            checks = {}
+            for pair in sorted(self.deviations, key=lambda pair: pair != warm):
+                checks[pair] = self.mc_check(*pair, d, index)
+                if not checks[pair].holds:
+                    warm = pair
+                    if fail_fast:
+                        break
+            row = tuple(checks[pair] for pair in self.deviations if pair in checks)
+            yield d, all(c.holds for c in row), lambda row=row: row
 
 
 def verify_nash(
@@ -222,12 +254,11 @@ def verify_nash(
     require_valid(config)
     if d < 1.0:
         raise ValueError(f"exponent must be >= 1, got {d!r}")
-    settings = settings or SolverSettings()
-    evaluator = _CheckEvaluator(config, settings)
-    checks = tuple(
-        evaluator.check(user_id, c, d, grid_index=0)
-        for user_id, c in _deviations(config)
-    )
+    gaps = _Gaps(config, settings or SolverSettings())
+    if gaps.exact:
+        checks = next(gaps.exact_rows([d]))[1]()
+    else:
+        checks = tuple(gaps.mc_check(n, c, d, 0) for n, c in gaps.deviations)
     return NashCertificate(d=d, checks=checks, satisfied=all(c.holds for c in checks))
 
 
@@ -245,64 +276,31 @@ def find_d_opt(
     """
     settings = settings or SolverSettings()
     require_valid(config)
-    deviations = _deviations(config)
-    evaluations: list[dict] = []
+    visited = []
+    # with no user able to afford a second oracle, the first row holds vacuously
+    for d, satisfied, checks in _Gaps(config, settings).rows():
+        visited.append((d, checks))
+        if satisfied:
+            break
+    else:
+        last = NashCertificate(d=d, checks=checks(), satisfied=False)
+        raise DMaxExceededError(settings.d_max, last.tightest_violation())
+    if diagnostics is not None:
+        visited = [(row_d, checks()) for row_d, checks in visited]
+        diagnostics["evaluations"] = [
+            {"d": row_d, **c.to_dict(), "holds": c.holds} for row_d, row in visited for c in row
+        ]
+        diagnostics["grid_points"] = len(visited)
+        diagnostics["reversals"] = _reversals(visited)
+    return d, NashCertificate(d=d, checks=checks(), satisfied=True)
+
+
+def _reversals(visited: list[tuple[float, tuple[NashCheck, ...]]]) -> list[dict]:
+    """Each (user, c) that held at one grid row and failed at a later one."""
     history: dict[tuple[int, int], list[tuple[float, bool]]] = {}
-
-    def _finish(d: float, certificate: NashCertificate):
-        if diagnostics is not None:
-            diagnostics["evaluations"] = evaluations
-            diagnostics["grid_points"] = round((d - settings.starting_d) / settings.epsilon) + 1
-            diagnostics["reversals"] = _reversals(history)
-        return d, certificate
-
-    if not deviations:
-        # nobody can afford a second oracle: the condition holds vacuously
-        return _finish(
-            settings.starting_d,
-            NashCertificate(d=settings.starting_d, checks=(), satisfied=True),
-        )
-
-    evaluator = _CheckEvaluator(config, settings)
-    warm: tuple[int, int] | None = None
-    index = 0
-    while True:
-        d = settings.starting_d + index * settings.epsilon
-        if d > settings.d_max + 1e-12:
-            last_d = settings.starting_d + (index - 1) * settings.epsilon
-            full = verify_nash(config, last_d, settings)
-            raise DMaxExceededError(settings.d_max, full.tightest_violation())
-        order = deviations
-        if warm in deviations:
-            order = [warm] + [pair for pair in deviations if pair != warm]
-        results: dict[tuple[int, int], NashCheck] = {}
-        violation = None
-        for user_id, c in order:
-            check = evaluator.check(user_id, c, d, grid_index=index)
-            results[(user_id, c)] = check
-            history.setdefault((user_id, c), []).append((d, check.holds))
-            evaluations.append(
-                {
-                    "d": d,
-                    "n": user_id,
-                    "c": c,
-                    "payoff_single": check.payoff_single,
-                    "payoff_mirror": check.payoff_mirror,
-                    "holds": check.holds,
-                }
-            )
-            if not check.holds:
-                violation = (user_id, c)
-                if settings.fail_fast:
-                    break
-        if violation is None:
-            checks = tuple(results[pair] for pair in deviations)
-            return _finish(d, NashCertificate(d=d, checks=checks, satisfied=True))
-        warm = violation
-        index += 1
-
-
-def _reversals(history: dict) -> list[dict]:
+    for d, checks in visited:
+        for c in checks:
+            history.setdefault((c.user_id, c.oracle_count), []).append((d, c.holds))
     out = []
     for (user_id, c), entries in sorted(history.items()):
         passed_at = None

@@ -87,6 +87,13 @@ def test_solve_d_writes_certificate(trio_path, tmp_path, capsys):
     assert manifest["tool_version"] == fs.__version__
 
 
+def test_solve_d_certificate_records_the_grid_value(ref_config_path, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert main(["solve-d", str(ref_config_path), "--out", str(cert_path)]) == 0
+    assert capsys.readouterr().out == "d_opt=2.28 checks=45 satisfied=yes\n"
+    assert '"d": 2.28,' in cert_path.read_text()
+
+
 def test_solve_d_failed_rename_keeps_old_certificate(trio_path, tmp_path, monkeypatch):
     cert_path = tmp_path / "cert.json"
     cert_path.write_text("old certificate\n")

@@ -4,6 +4,7 @@ import pytest
 import feedsim as fs
 import helpers
 import oracle_bruteforce as oracle
+from feedsim import enumeration
 from feedsim.payoff import concentrated_payoffs
 
 # frozen from tests/oracle_bruteforce.py (run standalone before the build):
@@ -104,6 +105,39 @@ def test_exact_matches_bruteforce_on_random_instances(seed):
     )
     assert got == pytest.approx(want, abs=1e-11)
     assert 0.0 <= got <= cfg.total_reward + 1e-12
+
+
+ROW_CASES = [pytest.param(("amt10", u), id=f"amt10-user{u}") for u in (1, 7)] + [
+    pytest.param(("grouped", s), id=f"grouped{s}") for s in range(3)]
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_batched_rows_match_one_row_calls(ref_config, monkeypatch, case, block):
+    """One engine call over rows of exponents equals one 1-D call per row;
+    tiny blocks drive the outer split loop and the row chunks."""
+    if block is not None:
+        monkeypatch.setattr(enumeration, "_BLOCK", block)
+    if case[0] == "amt10":
+        cfg, focal = ref_config, case[1]
+        strategies = cfg.default_strategies()
+    else:
+        rng = np.random.default_rng(900 + case[1])
+        cfg, strategies = helpers.grouped_instance(rng)
+        focal = int(rng.integers(1, cfg.num_users + 1))
+    rivals = [strategies[u.user_id] for u in cfg.users if u.user_id != focal]
+    engine = enumeration.ExactEnumerator(
+        cfg.confusion.entries, cfg.prior.probabilities, [s.oracle_count for s in rivals])
+    stake = cfg.user(focal).total_stake
+    counts = range(1, stake + 1)
+    ds = (1.0, 2.27, 2.28, 16.0)
+    focal_rows = [[fs.incentive.allocation_factor(fs.optimal_allocation(stake, c).allocation, d)
+                   for c in counts] for d in ds]
+    rival_rows = [[fs.incentive.allocation_factor(s.allocation, d) for s in rivals] for d in ds]
+    batched = engine.payoffs(counts, focal_rows, rival_rows)
+    assert batched.shape == (len(ds), stake)
+    for got, f, r in zip(batched, focal_rows, rival_rows):
+        assert got == pytest.approx(engine.payoffs(counts, f, r), abs=1e-15, rel=0)
 
 
 def test_total_reward_scales_the_estimate():

@@ -23,6 +23,16 @@ def test_all_stake_one_is_vacuously_nash():
     assert fs.verify_nash(cfg, 1.0).satisfied
 
 
+def test_amt10_d_opt_is_the_grid_value(ref_config):
+    """The headline answer is the grid value 2.28, and every grid row the
+    exact search visits holds all 45 of its checks."""
+    diag = {}
+    d_opt, cert = fs.find_d_opt(ref_config, diagnostics=diag)
+    assert d_opt == 2.28 and type(d_opt) is float
+    assert cert.d == 2.28 and len(cert.checks) == 45
+    assert len(diag["evaluations"]) == diag["grid_points"] * 45
+
+
 def test_find_d_opt_matches_frozen_oracle_value(trio_config):
     settings = fs.SolverSettings(epsilon=0.05)
     d_opt, cert = fs.find_d_opt(trio_config, settings)
@@ -90,6 +100,16 @@ def test_oracle_stake_variant_all_ones():
     assert d_opt == 1.0 and cert.satisfied
 
 
+def test_rows_past_the_answer_may_overflow():
+    """1000 ** d overflows from d = 103 on; an answer at d = 100 is still
+    found, and a search that reaches an overflowing row raises."""
+    cfg = helpers.symmetric_binary_config([1000, 1, 1], accuracy=1.0)
+    settings = fs.SolverSettings(starting_d=100.0, epsilon=1.0, d_max=400.0)
+    assert fs.find_d_opt(cfg, settings)[0] == 100.0
+    with pytest.raises(OverflowError):
+        fs.find_d_opt(cfg, fs.SolverSettings(starting_d=103.0, epsilon=1.0, d_max=400.0))
+
+
 def test_d_max_exhaustion_reports_tightest_check(trio_config):
     with pytest.raises(fs.DMaxExceededError) as info:
         fs.find_d_opt(trio_config, fs.SolverSettings(epsilon=0.05, d_max=1.3))
@@ -97,6 +117,7 @@ def test_d_max_exhaustion_reports_tightest_check(trio_config):
     assert tightest is not None
     assert (tightest.user_id, tightest.oracle_count) == (1, 2)
     assert tightest.payoff_mirror > tightest.payoff_single
+    assert tightest == fs.verify_nash(trio_config, 1.3).tightest_violation()
 
 
 @pytest.mark.parametrize("seed", range(3))
