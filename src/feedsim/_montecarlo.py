@@ -4,8 +4,21 @@ Each trial draws a truth class from the prior, one report per user from the
 confusion row, resolves the majority vote with a uniformly sampled tie-break,
 and settles the reward split -- the same round semantics as the scalar
 building blocks (`sample_report`, `majority_vote`, `distribute_rewards`),
-evaluated in batches. Batch sizes are fixed so a given seed always yields
-the same stream.
+evaluated in batches of `_BATCH` rounds. A batch costs a fixed number of
+whole-array passes, whatever the number of users: one `searchsorted` of the
+truth uniforms into the prior's CDF; K-1 compares of the (n, users) report
+uniforms against the truth rows' CDF columns, counted into the smallest
+unsigned dtype that holds K-1; one `bincount` of (class, round) cells
+weighted by oracle counts, class-major so that the max, the winner count and
+the argmax each reduce over K whole rows; and the cumulative-count tie-break
+on the tied rounds only. Both CDFs drop their last column, so a uniform at or
+above a row's total (rows may sum to an ulp below 1) lands in class K.
+
+The stream is a contract: a batch draws n truth uniforms, then n x users
+report uniforms, then n tie-break uniforms (one per round, tied or not), in
+batches of exactly `_BATCH`, so a seed yields the same rounds on every
+version. `tests/helpers.reference_mc_rounds` is the per-user loop this
+kernel must match array for array.
 """
 
 from __future__ import annotations
@@ -17,10 +30,32 @@ import numpy as np
 _BATCH = 1 << 16
 
 
-def _inverse_cdf(cum_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Map uniforms through per-row CDFs; clipped so row sums < 1 by an ulp are safe."""
-    idx = (uniforms[:, None] >= cum_rows).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
+def _reports(uniforms: np.ndarray, thresholds: np.ndarray, dtype) -> np.ndarray:
+    """Class index of each (round, user) uniform: how many of its round's CDF
+    thresholds it reaches."""
+    reports = np.zeros(uniforms.shape, dtype=dtype)
+    for j in range(thresholds.shape[1]):
+        reports += uniforms >= thresholds[:, j, None]
+    return reports
+
+
+def _decide(reports: np.ndarray, weights: np.ndarray, num_classes: int,
+            tie_uniforms: np.ndarray) -> np.ndarray:
+    """Each round's output: its single winner, or the winner its tie uniform
+    picks when several classes share the most votes."""
+    n = reports.shape[0]
+    cells = np.int64(n) * reports + np.arange(n)[:, None]
+    votes = np.bincount(cells.ravel(), weights, n * num_classes).reshape(num_classes, n)
+    winner_mask = votes == votes.max(axis=0)
+    n_winners = winner_mask.sum(axis=0)
+    output = winner_mask.argmax(axis=0)
+    tied = np.flatnonzero(n_winners > 1)
+    if tied.size:
+        n_tied = n_winners[tied]
+        pick = np.minimum((tie_uniforms[tied] * n_tied).astype(np.int64) + 1, n_tied)
+        # the pick-th winner sits after every class whose running count is short
+        output[tied] = (np.cumsum(winner_mask[:, tied], axis=0) < pick).sum(axis=0)
+    return output
 
 
 def mc_rounds(
@@ -30,36 +65,27 @@ def mc_rounds(
     samples: int,
     rng: np.random.Generator,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield batches of (truth, per-user reports, decided output), all 0-based."""
+    """Yield batches of (truth, per-user reports, decided output), all 0-based.
+
+    The helpers' temporaries are freed on return, before the batch is yielded.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    mults = np.asarray(multiplicities, dtype=np.int64)
+    mults = np.asarray(multiplicities, dtype=np.float64)
     num_users = mults.size
-    cum_prior = np.cumsum(np.asarray(prior, dtype=np.float64))[None, :]
-    cum_rows = np.cumsum(np.asarray(confusion, dtype=np.float64), axis=1)
-    num_classes = cum_rows.shape[1]
+    cum_prior = np.cumsum(np.asarray(prior, dtype=np.float64))[:-1]
+    cum_rows = np.cumsum(np.asarray(confusion, dtype=np.float64), axis=1)[:, :-1]
+    num_classes = cum_rows.shape[1] + 1
+    report_dtype = np.min_scalar_type(num_classes - 1)
+    weights = np.tile(mults, min(int(samples), _BATCH))
     remaining = int(samples)
     while remaining > 0:
         n = min(remaining, _BATCH)
         remaining -= n
-        truth = _inverse_cdf(cum_prior.repeat(n, axis=0), rng.random(n))
-        report_uniforms = rng.random((n, num_users))
-        reports = np.empty((n, num_users), dtype=np.int64)
-        truth_cdfs = cum_rows[truth]
-        for m in range(num_users):
-            reports[:, m] = _inverse_cdf(truth_cdfs, report_uniforms[:, m])
-        counts = np.zeros((n, num_classes), dtype=np.int64)
-        rows = np.arange(n)
-        for m in range(num_users):
-            counts[rows, reports[:, m]] += mults[m]
-        top = counts.max(axis=1)
-        winner_mask = counts == top[:, None]
-        n_winners = winner_mask.sum(axis=1)
+        truth = np.searchsorted(cum_prior, rng.random(n), side="right")
+        reports = _reports(rng.random((n, num_users)), cum_rows[truth], report_dtype)
         # tie-break: uniform among winners; drawn every round for a fixed stream
-        pick = np.minimum(
-            (rng.random(n) * n_winners).astype(np.int64) + 1, n_winners
-        )
-        output = (np.cumsum(winner_mask, axis=1) >= pick[:, None]).argmax(axis=1)
+        output = _decide(reports, weights[: n * num_users], num_classes, rng.random(n))
         yield truth, reports, output
 
 

@@ -27,7 +27,7 @@ class IngestError(ValueError):
     """Annotation data cannot produce a valid confusion matrix."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationRecord:
     task_id: str
     annotator_id: str
@@ -108,31 +108,41 @@ def _map_label(raw: str, settings: IngestSettings, num_classes: int,
 
 def read_annotation_csv(path, settings: IngestSettings,
                         num_classes: int) -> list[AnnotationRecord]:
-    """Read `task_id,annotator_id,label,gold_label` rows; empty gold = missing."""
+    """Read `task_id,annotator_id,label,gold_label` rows; empty gold = missing.
+
+    Blank lines are skipped, and errors name the physical line. Each distinct
+    label string is mapped once, and records share one string per id.
+    """
     records = []
+    ids: dict[str, str] = {}
+    labels: dict[str, int] = {}
+    golds: dict[str, int | None] = {}
     with Path(path).open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_FIELDS:
             raise IngestError(
                 f"annotation CSV must have header {','.join(CSV_FIELDS)}, "
-                f"got {reader.fieldnames}"
+                f"got {header}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            context = f"line {line_no}"
-            gold_raw = (row["gold_label"] or "").strip()
-            gold = (
-                _map_label(gold_raw, settings, num_classes, context)
-                if gold_raw
-                else None
-            )
-            records.append(
-                AnnotationRecord(
-                    task_id=row["task_id"].strip(),
-                    annotator_id=row["annotator_id"].strip(),
-                    label=_map_label(row["label"], settings, num_classes, context),
-                    gold_label=gold,
-                )
-            )
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(CSV_FIELDS):
+                raise IngestError(f"line {reader.line_num}: expected "
+                                  f"{len(CSV_FIELDS)} fields, got {len(row)}")
+            task, annotator, label, gold = row
+            if not (gold in golds and label in labels and task in ids
+                    and annotator in ids):
+                context = f"line {reader.line_num}"
+                golds[gold] = (_map_label(gold, settings, num_classes, context)
+                               if gold.strip() else None)
+                labels[label] = _map_label(label, settings, num_classes, context)
+                ids.setdefault(task, task.strip())
+                ids.setdefault(annotator, annotator.strip())
+            records.append(AnnotationRecord(
+                ids[task], ids[annotator], labels[label], golds[gold]
+            ))
     return records
 
 
@@ -154,9 +164,12 @@ def estimate_confusion(
     kept = [r for r in golded if r.annotator_id not in dropped]
     if not kept:
         raise IngestError("participation filter removed every record")
-    counts = np.full((num_classes, num_classes), float(settings.smoothing))
-    for r in kept:
-        counts[r.gold_label - 1, r.label - 1] += 1.0
+    shape = (num_classes, num_classes)
+    cells = np.ravel_multi_index(  # raises on a label outside 1..num_classes
+        (np.fromiter((r.gold_label - 1 for r in kept), np.int64, len(kept)),
+         np.fromiter((r.label - 1 for r in kept), np.int64, len(kept))), shape)
+    tally = np.bincount(cells, minlength=num_classes**2).reshape(shape)
+    counts = tally + float(settings.smoothing)
     row_sums = counts.sum(axis=1)
     empty = np.flatnonzero(row_sums <= 0)
     if empty.size:
@@ -165,11 +178,6 @@ def estimate_confusion(
             "smoothing; cannot normalize its row"
         )
     matrix = ConfusionMatrix(counts / row_sums[:, None])
-    raw_rows = tuple(
-        int(n) for n in np.bincount(
-            [r.gold_label - 1 for r in kept], minlength=num_classes
-        )
-    )
     report = IngestReport(
         total_records=len(records),
         records_without_gold=len(records) - len(golded),
@@ -178,7 +186,7 @@ def estimate_confusion(
         kept_records=len(kept),
         gold_task_count=len(gold_tasks),
         min_records_required=int(np.ceil(min_required)),
-        row_counts=raw_rows,
+        row_counts=tuple(int(n) for n in tally.sum(axis=1)),
     )
     return matrix, report
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 import feedsim as fs
+from feedsim import _montecarlo
 
 
 def weakly_accurate_matrix(rng, num_classes):
@@ -83,3 +84,38 @@ def symmetric_binary_config(stakes, accuracy=0.8):
         confusion=fs.ConfusionMatrix(matrix),
         users=tuple(fs.UserProfile(i + 1, s) for i, s in enumerate(stakes)),
     )
+
+
+def reference_mc_rounds(confusion, prior, multiplicities, samples, rng):
+    """The per-user loop kernel `_montecarlo.mc_rounds` replaced, kept as the
+    reference its stream must match: same draws, same order, same batches."""
+
+    def inverse_cdf(cum_rows, uniforms):
+        idx = (uniforms[:, None] >= cum_rows).sum(axis=1)
+        return np.minimum(idx, cum_rows.shape[1] - 1)
+
+    mults = np.asarray(multiplicities, dtype=np.int64)
+    num_users = mults.size
+    cum_prior = np.cumsum(np.asarray(prior, dtype=np.float64))[None, :]
+    cum_rows = np.cumsum(np.asarray(confusion, dtype=np.float64), axis=1)
+    num_classes = cum_rows.shape[1]
+    remaining = int(samples)
+    while remaining > 0:
+        n = min(remaining, _montecarlo._BATCH)
+        remaining -= n
+        truth = inverse_cdf(cum_prior.repeat(n, axis=0), rng.random(n))
+        report_uniforms = rng.random((n, num_users))
+        reports = np.empty((n, num_users), dtype=np.int64)
+        truth_cdfs = cum_rows[truth]
+        for m in range(num_users):
+            reports[:, m] = inverse_cdf(truth_cdfs, report_uniforms[:, m])
+        counts = np.zeros((n, num_classes), dtype=np.int64)
+        rows = np.arange(n)
+        for m in range(num_users):
+            counts[rows, reports[:, m]] += mults[m]
+        top = counts.max(axis=1)
+        winner_mask = counts == top[:, None]
+        n_winners = winner_mask.sum(axis=1)
+        pick = np.minimum((rng.random(n) * n_winners).astype(np.int64) + 1, n_winners)
+        output = (np.cumsum(winner_mask, axis=1) >= pick[:, None]).argmax(axis=1)
+        yield truth, reports, output

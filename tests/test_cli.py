@@ -192,6 +192,14 @@ def test_estimate_cm_without_gold_exits_1(tmp_path, capsys):
     assert "gold" in capsys.readouterr().err
 
 
+def test_estimate_cm_short_row_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text("task_id,annotator_id,label,gold_label\nt1,a1,1,1\nt2,a2\n")
+    assert main(["estimate-cm", str(csv_path), "--k", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 3: expected 4 fields, got 2\n"
+
+
 def test_estimate_cm_label_map(tmp_path):
     csv_path = tmp_path / "records.csv"
     csv_path.write_text(

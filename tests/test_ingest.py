@@ -150,3 +150,44 @@ def test_csv_rejects_bad_header_and_labels(tmp_path):
     not_int.write_text("task_id,annotator_id,label,gold_label\nt,a,x,1\n")
     with pytest.raises(fs.IngestError):
         fs.read_annotation_csv(not_int, fs.IngestSettings(), 2)
+
+
+@pytest.mark.parametrize("row,got", [("t2,a2", 2), ("t2,a2,1,1,extra", 5), (" ", 1)])
+def test_csv_row_with_wrong_field_count_is_an_error(tmp_path, row, got):
+    path = tmp_path / "short.csv"
+    path.write_text(f"task_id,annotator_id,label,gold_label\nt1,a1,1,1\n{row}\n")
+    with pytest.raises(fs.IngestError, match=f"^line 3: expected 4 fields, got {got}$"):
+        fs.read_annotation_csv(path, fs.IngestSettings(), 2)
+
+
+def test_csv_errors_name_the_physical_line(tmp_path):
+    blank = tmp_path / "blank.csv"
+    blank.write_text("task_id,annotator_id,label,gold_label\nt1,a,1,1\n\nt2,a,9,1\n")
+    with pytest.raises(fs.IngestError, match="^line 4: label 9 out of range"):
+        fs.read_annotation_csv(blank, fs.IngestSettings(), 2)
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(
+        'task_id,annotator_id,label,gold_label\n"t1\nsecond line",a,1,1\nt2,a,9,1\n'
+    )
+    with pytest.raises(fs.IngestError, match="^line 4: label 9 out of range"):
+        fs.read_annotation_csv(quoted, fs.IngestSettings(), 2)
+
+
+def test_csv_records_share_id_strings_and_skip_blank_lines(tmp_path):
+    path = tmp_path / "ids.csv"
+    path.write_text(
+        "task_id,annotator_id,label,gold_label\n"
+        " t1 ,a,1,2\n\nt1,a,2, 2 \n t1 ,b,1,\n"
+    )
+    records = fs.read_annotation_csv(path, fs.IngestSettings(), 2)
+    assert records == [
+        rec("t1", "a", 1, 2), rec("t1", "a", 2, 2), rec("t1", "b", 1, None)]
+    assert records[0].task_id is records[2].task_id
+    assert records[0].annotator_id is records[1].annotator_id
+
+
+@pytest.mark.parametrize("label", [0, 3])
+def test_out_of_range_record_label_is_an_error(label):
+    records = [rec("t1", "a", 1, 1), rec("t2", "a", label, 2)]
+    with pytest.raises(ValueError):
+        fs.estimate_confusion(records, fs.IngestSettings(), 2)
