@@ -4,21 +4,14 @@ Each trial draws a truth class from the prior, one report per user from the
 confusion row, resolves the majority vote with a uniformly sampled tie-break,
 and settles the reward split -- the same round semantics as the scalar
 building blocks (`sample_report`, `majority_vote`, `distribute_rewards`),
-evaluated in batches of `_BATCH` rounds. A batch costs a fixed number of
-whole-array passes, whatever the number of users: one `searchsorted` of the
-truth uniforms into the prior's CDF; K-1 compares of the (n, users) report
-uniforms against the truth rows' CDF columns, counted into the smallest
-unsigned dtype that holds K-1; one `bincount` of (class, round) cells
-weighted by oracle counts, class-major so that the max, the winner count and
-the argmax each reduce over K whole rows; and the cumulative-count tie-break
-on the tied rounds only. Both CDFs drop their last column, so a uniform at or
-above a row's total (rows may sum to an ulp below 1) lands in class K.
+evaluated in batches of whole-array passes, whatever the number of users.
 
 The stream is a contract: a batch draws n truth uniforms, then n x users
-report uniforms, then n tie-break uniforms (one per round, tied or not), in
-batches of exactly `_BATCH`, so a seed yields the same rounds on every
-version. `tests/helpers.reference_mc_rounds` is the per-user loop this
-kernel must match array for array.
+report uniforms, then one tie-break uniform per round, tied or not, in batches
+of exactly `_BATCH`, so a seed yields the same rounds on every version
+(`tests/helpers.reference_mc_rounds` is the reference). Both CDFs drop their
+last column, so a uniform at or above a row's total (rows may sum to an ulp
+below 1) lands in the last class.
 """
 
 from __future__ import annotations
@@ -44,7 +37,7 @@ def _decide(reports: np.ndarray, weights: np.ndarray, num_classes: int,
     """Each round's output: its single winner, or the winner its tie uniform
     picks when several classes share the most votes."""
     n = reports.shape[0]
-    cells = np.int64(n) * reports + np.arange(n)[:, None]
+    cells = np.multiply(reports, n, dtype=np.int64) + np.arange(n)[:, None]
     votes = np.bincount(cells.ravel(), weights, n * num_classes).reshape(num_classes, n)
     winner_mask = votes == votes.max(axis=0)
     n_winners = winner_mask.sum(axis=0)
@@ -84,7 +77,6 @@ def mc_rounds(
         remaining -= n
         truth = np.searchsorted(cum_prior, rng.random(n), side="right")
         reports = _reports(rng.random((n, num_users)), cum_rows[truth], report_dtype)
-        # tie-break: uniform among winners; drawn every round for a fixed stream
         output = _decide(reports, weights[: n * num_users], num_classes, rng.random(n))
         yield truth, reports, output
 

@@ -109,10 +109,7 @@ def _map_label(raw: str, settings: IngestSettings, num_classes: int,
 def read_annotation_csv(path, settings: IngestSettings,
                         num_classes: int) -> list[AnnotationRecord]:
     """Read `task_id,annotator_id,label,gold_label` rows; empty gold = missing.
-
-    Blank lines are skipped, and errors name the physical line. Each distinct
-    label string is mapped once, and records share one string per id.
-    """
+    Blank lines are skipped, and errors name the physical line."""
     records = []
     ids: dict[str, str] = {}
     labels: dict[str, int] = {}
@@ -132,16 +129,17 @@ def read_annotation_csv(path, settings: IngestSettings,
                 raise IngestError(f"line {reader.line_num}: expected "
                                   f"{len(CSV_FIELDS)} fields, got {len(row)}")
             task, annotator, label, gold = row
-            if not (gold in golds and label in labels and task in ids
-                    and annotator in ids):
-                context = f"line {reader.line_num}"
-                golds[gold] = (_map_label(gold, settings, num_classes, context)
+            if gold not in golds:
+                golds[gold] = (_map_label(gold, settings, num_classes,
+                                          f"line {reader.line_num}")
                                if gold.strip() else None)
-                labels[label] = _map_label(label, settings, num_classes, context)
-                ids.setdefault(task, task.strip())
-                ids.setdefault(annotator, annotator.strip())
+            if label not in labels:
+                labels[label] = _map_label(label, settings, num_classes,
+                                           f"line {reader.line_num}")
             records.append(AnnotationRecord(
-                ids[task], ids[annotator], labels[label], golds[gold]
+                ids.setdefault(task, task.strip()),
+                ids.setdefault(annotator, annotator.strip()),
+                labels[label], golds[gold],
             ))
     return records
 

@@ -95,6 +95,16 @@ def test_stream_matches_loop_kernel_across_batches(monkeypatch):
                        lambda: np.random.default_rng(9))
 
 
+def test_stream_matches_loop_kernel_when_cells_outgrow_16_bits():
+    # a short last batch whose largest (class, round) cell, n * (K-1), needs
+    # more than 16 bits while n itself fits in 16
+    k, tail = 5, 34464
+    assert tail < 1 << 16 < tail * (k - 1)
+    confusion = helpers.weakly_accurate_matrix(np.random.default_rng(2), k)
+    assert_same_stream(confusion, np.full(k, 1.0 / k), [2, 1, 1, 1],
+                       _montecarlo._BATCH + tail, lambda: np.random.default_rng(12345))
+
+
 @pytest.mark.parametrize(
     "case", FROZEN["payoff"], ids=lambda c: f"s{c['seed']}c{c['c']}d{c['d']}")
 def test_amt10_payoff_mc_matches_frozen(ref_config, case):
