@@ -18,8 +18,11 @@ with the table. A query may carry a leading axis of rows, one per exponent:
 rivals then share a group when their factors agree on every row, and each
 numpy pass covers as many rows as fit in one block of shares.
 
-Error rates depend on vote counts only: a DP over rivals gives the
-distribution of the rival vote-count vector per truth class, built once.
+Error rates depend on vote counts only. Each multiplicity group's multinomial
+report counts give its vote-count vectors and their probability per truth
+class; folding the groups in one at a time, with equal vectors merged after
+each fold, gives the distribution of the rival vote-count vector, built once.
+Multinomial coefficients and set counts come from one table of binomials.
 
 `term_count` stays the size of the joint report space, K^(N-1) * K^2, so the
 budget sends the same networks to the Monte Carlo path as before.
@@ -48,6 +51,11 @@ def _compositions(n: int, k: int) -> np.ndarray:
     bars = np.array(list(itertools.combinations(range(n + k - 1), k - 1)), dtype=np.int64)
     ends = np.ones((len(bars), 1), dtype=np.int64)
     return np.diff(np.hstack([-ends, bars, (n + k - 1) * ends])) - 1
+
+
+def _binomials(n: int) -> np.ndarray:
+    """C(a, b) for 0 <= a, b <= n as floats, 0 where b > a."""
+    return np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], float)
 
 
 def _blocks(radix: Sequence[int]):
@@ -106,14 +114,16 @@ class ExactEnumerator:
         """Per multiplicity group: its report counts per class (one row per
         composition), their probability per truth, and the number of rival
         sets behind each count."""
+        binom = _binomials(max(self.group_sizes, default=0))
         comps, probs, divisors = [], [], []
         for n in self.group_sizes:
             comp = _compositions(n, self.num_classes)
-            coef = [math.factorial(n) // math.prod(map(math.factorial, row)) for row in comp]
+            # the multinomial, class by class: choose x_j of the reports not yet placed
+            unplaced = n - np.cumsum(comp, axis=1) + comp
+            coef = binom[unplaced, comp].prod(axis=1)
             comps.append(comp)
-            probs.append(np.asarray(coef, float)
-                         * np.prod(self.confusion[:, None, :] ** comp, axis=2))
-            divisors.append(np.array([[math.comb(n, x) for x in row] for row in comp], float))
+            probs.append(coef * np.prod(self.confusion[:, None, :] ** comp, axis=2))
+            divisors.append(binom[n, comp])
         return comps, probs, divisors
 
     def _win_tables(self, counts: list[int]) -> None:
@@ -178,19 +188,27 @@ class ExactEnumerator:
 
     @functools.cached_property
     def _vote_distribution(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct rival vote-count vectors and their probability per truth."""
+        """Distinct rival vote-count vectors and their probability per truth.
+
+        Folds in one multiplicity group at a time: a group's compositions give
+        distinct vectors, so only the fold of a second group can merge any.
+        Merges sort the vectors in the smallest type that holds the total
+        vote count, for which numpy's stable sort is a radix sort.
+        """
         k = self.num_classes
-        votes = np.zeros((1, k), dtype=np.int64)
+        comps, group_probs, _ = self._groups
+        dtype = np.min_scalar_type(sum(self.mults))
+        votes = np.zeros((1, k), dtype=dtype)
         probs = np.ones((k, 1))
-        for m in self.mults:
-            votes = (votes[:, None, :] + m * np.eye(k, dtype=np.int64)).reshape(-1, k)
-            probs = (probs[:, :, None] * self.confusion[:, None, :]).reshape(k, -1)
-            votes, inverse = np.unique(votes, axis=0, return_inverse=True)
-            probs = np.stack([
-                np.bincount(inverse.ravel(), weights=row, minlength=len(votes))
-                for row in probs
-            ])
-        return votes, probs
+        for g, (m, comp, prob) in enumerate(zip(self.group_mults, comps, group_probs)):
+            votes = (votes[:, None, :] + (m * comp).astype(dtype)).reshape(-1, k)
+            probs = (probs[:, :, None] * prob[:, None, :]).reshape(k, -1)
+            if g:
+                order = np.lexsort(votes.T[::-1])
+                votes, probs = votes[order], np.take(probs, order, axis=1)
+                starts = np.flatnonzero(np.r_[True, (votes[1:] != votes[:-1]).any(axis=1)])
+                votes, probs = votes[starts], np.add.reduceat(probs, starts, axis=1)
+        return votes.astype(np.int64), probs
 
     # -- queries ------------------------------------------------------------
 
@@ -241,13 +259,15 @@ class ExactEnumerator:
         for start in range(0, len(fs), step):
             rows = slice(start, start + step)
             f = fs[rows, :, None]
-            inner = factor[rows, cut:] @ split
+            # einsum, not a matrix product: a row's sums must not depend on
+            # how many rows share the call
+            inner = np.einsum("rg,gs->rs", factor[rows, cut:], split)
             for outer in itertools.product(*(range(lo, n + 1) for (_, n), lo in head)):
                 k, sets = 0, 1
                 for ((mult, n), _), a in zip(head, outer):
                     k += self._k_stride[mult] * a
                     sets *= math.comb(n, a)
-                m = factor[rows, :cut] @ np.asarray(outer, dtype=np.float64)
+                m = np.einsum("rg,g->r", factor[rows, :cut], np.asarray(outer, dtype=np.float64))
                 # in place: a fresh temporary this size would be paged in anew
                 share = f + m[:, None, None] + inner[:, None, :]
                 np.divide(f, share, out=share)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .payoff import PayoffQuery, expected_payoff_mc, single_oracle_rivals
 
 _TIGHTNESS_TOL = 1e-12
 _BLOCK_ROWS = 16  # grid rows per engine call on the exact path
+_GRID_DECIMALS = 12
+_MIN_EPSILON = 10.0 ** -_GRID_DECIMALS
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,9 @@ class SolverSettings:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        # grid values are rounded to 12 decimals, so a finer step repeats rows
+        if not (math.isfinite(self.epsilon) and self.epsilon >= _MIN_EPSILON):
+            raise ValueError(f"epsilon must be at least {_MIN_EPSILON}, got {self.epsilon!r}")
         if not (self.d_max > self.starting_d):
             raise ValueError("d_max must exceed starting_d")
         if self.starting_d < 1.0:
@@ -132,6 +135,23 @@ class DMaxExceededError(RuntimeError):
         super().__init__(f"no exponent up to d_max={d_max} suppresses mirroring{detail}")
 
 
+class _Row(NamedTuple):
+    """One grid row: the (user, c) pairs evaluated, in deviation order, with
+    the (single, mirror) payoffs of each."""
+
+    d: float
+    pairs: Sequence[tuple[int, int]]
+    values: Sequence[tuple[float, float]]
+
+    @property
+    def satisfied(self) -> bool:
+        return all(mirror <= single for single, mirror in self.values)
+
+    def checks(self) -> tuple[NashCheck, ...]:
+        return tuple(NashCheck(n, c, single, mirror)
+                     for (n, c), (single, mirror) in zip(self.pairs, self.values))
+
+
 class _Gaps:
     """Rows of the gap matrix: both sides of every deviation check at each
     grid exponent. Rivals run single full-stake oracles, so every focal user
@@ -149,12 +169,12 @@ class _Gaps:
 
     def grid_d(self, index: int) -> float | None:
         """Row `index`'s exponent, or None past d_max."""
-        d = round(self.settings.starting_d + index * self.settings.epsilon, 12)
+        d = round(self.settings.starting_d + index * self.settings.epsilon, _GRID_DECIMALS)
         return d if d <= self.settings.d_max + 1e-12 else None
 
     def exact_rows(self, ds: Sequence[float]):
-        """(all checks hold, checks) at each exponent in `ds` in turn, from
-        one engine call per user; `checks()` builds a row's checks on demand.
+        """The (single, mirror) payoffs of every deviation at each exponent in
+        `ds` in turn, from one engine call per user.
 
         The block ends before the first exponent at which a stake factor
         overflows, so only a row the search reaches can raise.
@@ -169,7 +189,7 @@ class _Gaps:
                     raise
                 break
         power = np.array(power)
-        holds, values = np.ones(len(power), dtype=bool), []
+        tables = []
         for i, user in enumerate(self.users):
             if user.total_stake < 2:
                 continue
@@ -177,19 +197,15 @@ class _Gaps:
             # c oracles: c - 1 holding stake 1 and one holding the rest
             focal = (counts - 1) + power[:, user.total_stake - counts]
             rivals = power[:, [s - 1 for j, s in enumerate(stakes) if j != i]]
-            payoffs = self.engine.payoffs(
+            tables.append(self.engine.payoffs(
                 counts, focal, rivals, total_reward=self.config.total_reward
-            )
-            holds &= (payoffs[:, 1:] <= payoffs[:, :1]).all(axis=1)
-            values.append((user.user_id, payoffs))
-        for row, satisfied in enumerate(holds.tolist()):
-            yield satisfied, lambda row=row: tuple(
-                NashCheck(n, c, float(payoffs[row, 0]), mirror)
-                for n, payoffs in values
-                for c, mirror in enumerate(payoffs[row, 1:].tolist(), start=2)
-            )
+            ).tolist())
+        for row in range(len(power)):
+            yield [(payoffs[0], mirror) for payoffs in (t[row] for t in tables)
+                   for mirror in payoffs[1:]]
 
-    def mc_check(self, user_id: int, c: int, d: float, grid_index: int) -> NashCheck:
+    def mc_check(self, user_id: int, c: int, d: float, grid_index: int) -> tuple[float, float]:
+        """Sampled (single, mirror) payoffs of one deviation."""
         stake = self.config.user(user_id).total_stake
         results = []
         for side, strategy in enumerate(
@@ -209,12 +225,11 @@ class _Gaps:
         margin = self.settings.mc_margin * math.hypot(single.std_error, mirror.std_error)
         if single.value < mirror.value <= single.value + margin:
             # within sampling noise: count as holding to avoid inflating d
-            return NashCheck(user_id, c, single.value, single.value)
-        return NashCheck(user_id, c, single.value, mirror.value)
+            return single.value, single.value
+        return single.value, mirror.value
 
     def rows(self):
-        """(d, all checks hold, checks) for each grid row up to d_max, where
-        `checks()` gives the row's checks in deviation order.
+        """Each grid row up to d_max in turn.
 
         A sampled row starts from the last violation seen and ends at its
         first violation under `fail_fast`; the last grid row is always
@@ -225,9 +240,9 @@ class _Gaps:
             ds = [d for d in map(self.grid_d, range(index, index + _BLOCK_ROWS)) if d is not None]
             if not ds:
                 return
-            for d, (satisfied, checks) in zip(ds, self.exact_rows(ds)):
+            for d, values in zip(ds, self.exact_rows(ds)):
                 index += 1
-                yield d, satisfied, checks
+                yield _Row(d, self.deviations, values)
         warm = None
         for index in itertools.count():
             d = self.grid_d(index)
@@ -236,13 +251,13 @@ class _Gaps:
             fail_fast = self.settings.fail_fast and self.grid_d(index + 1) is not None
             checks = {}
             for pair in sorted(self.deviations, key=lambda pair: pair != warm):
-                checks[pair] = self.mc_check(*pair, d, index)
-                if not checks[pair].holds:
+                single, mirror = checks[pair] = self.mc_check(*pair, d, index)
+                if mirror > single:
                     warm = pair
                     if fail_fast:
                         break
-            row = tuple(checks[pair] for pair in self.deviations if pair in checks)
-            yield d, all(c.holds for c in row), lambda row=row: row
+            pairs = [pair for pair in self.deviations if pair in checks]
+            yield _Row(d, pairs, [checks[pair] for pair in pairs])
 
 
 def verify_nash(
@@ -256,10 +271,11 @@ def verify_nash(
         raise ValueError(f"exponent must be >= 1, got {d!r}")
     gaps = _Gaps(config, settings or SolverSettings())
     if gaps.exact:
-        checks = next(gaps.exact_rows([d]))[1]()
+        values = next(gaps.exact_rows([d]))
     else:
-        checks = tuple(gaps.mc_check(n, c, d, 0) for n, c in gaps.deviations)
-    return NashCertificate(d=d, checks=checks, satisfied=all(c.holds for c in checks))
+        values = [gaps.mc_check(n, c, d, 0) for n, c in gaps.deviations]
+    row = _Row(d, gaps.deviations, values)
+    return NashCertificate(d=d, checks=row.checks(), satisfied=row.satisfied)
 
 
 def find_d_opt(
@@ -278,29 +294,30 @@ def find_d_opt(
     require_valid(config)
     visited = []
     # with no user able to afford a second oracle, the first row holds vacuously
-    for d, satisfied, checks in _Gaps(config, settings).rows():
-        visited.append((d, checks))
-        if satisfied:
+    for row in _Gaps(config, settings).rows():
+        visited.append(row)
+        if row.satisfied:
             break
     else:
-        last = NashCertificate(d=d, checks=checks(), satisfied=False)
+        last = NashCertificate(d=row.d, checks=row.checks(), satisfied=False)
         raise DMaxExceededError(settings.d_max, last.tightest_violation())
     if diagnostics is not None:
-        visited = [(row_d, checks()) for row_d, checks in visited]
-        diagnostics["evaluations"] = [
-            {"d": row_d, **c.to_dict(), "holds": c.holds} for row_d, row in visited for c in row
+        evaluations = [
+            {"d": r.d, "n": n, "c": c, "payoff_single": single, "payoff_mirror": mirror,
+             "holds": mirror <= single}
+            for r in visited for (n, c), (single, mirror) in zip(r.pairs, r.values)
         ]
+        diagnostics["evaluations"] = evaluations
         diagnostics["grid_points"] = len(visited)
-        diagnostics["reversals"] = _reversals(visited)
-    return d, NashCertificate(d=d, checks=checks(), satisfied=True)
+        diagnostics["reversals"] = _reversals(evaluations)
+    return row.d, NashCertificate(d=row.d, checks=row.checks(), satisfied=True)
 
 
-def _reversals(visited: list[tuple[float, tuple[NashCheck, ...]]]) -> list[dict]:
+def _reversals(evaluations: list[dict]) -> list[dict]:
     """Each (user, c) that held at one grid row and failed at a later one."""
     history: dict[tuple[int, int], list[tuple[float, bool]]] = {}
-    for d, checks in visited:
-        for c in checks:
-            history.setdefault((c.user_id, c.oracle_count), []).append((d, c.holds))
+    for e in evaluations:
+        history.setdefault((e["n"], e["c"]), []).append((e["d"], e["holds"]))
     out = []
     for (user_id, c), entries in sorted(history.items()):
         passed_at = None

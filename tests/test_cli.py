@@ -131,6 +131,12 @@ def test_solve_d_exhaustion_exits_1(trio_path, capsys):
     assert "tightest violation" in capsys.readouterr().err
 
 
+def test_solve_d_epsilon_below_grid_resolution_exits_1(ref_config_path, capsys):
+    assert main(["solve-d", str(ref_config_path), "--epsilon", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epsilon" in err
+
+
 def test_sweep_deterministic_across_runs_and_threads(trio_path, tmp_path):
     args = ["sweep", trio_path, "--user", "1", "--c-range", "1:2",
             "--d-list", "1,1.6", "--method", "mc", "--samples", "5000",

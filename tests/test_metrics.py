@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import feedsim as fs
 import helpers
 import oracle_bruteforce as oracle
+from feedsim import enumeration
 from feedsim.metrics import CSV_HEADER, sweep_rows_to_csv
 
 
@@ -26,11 +29,30 @@ def test_single_voter_error_is_one_minus_accuracy(accuracy):
 # 5-6 users whose rivals share multiplicity groups, with mixed oracle
 # counts: shapes random_config never draws
 GROUPED_CASES = [pytest.param(("grouped", s), id=f"grouped{s}") for s in range(6)]
+# oracle counts per user, the first being the focal user's: rival vote vectors
+# that collide across multiplicity groups, and rivals of distinct counts
+COUNT_CASES = [
+    pytest.param(("counts", (1, 1, 1, 2)), id="collide112"),
+    pytest.param(("counts", (2, 3, 1, 4, 2)), id="distinct"),
+]
 
 
-@pytest.mark.parametrize("seed", [*range(6), *GROUPED_CASES])
+def counts_instance(rng, counts, num_classes=3):
+    """Config whose users run `counts` oracles, one unit of stake each."""
+    cfg = fs.SystemConfig(
+        num_classes=num_classes,
+        confusion=fs.ConfusionMatrix(helpers.weakly_accurate_matrix(rng, num_classes)),
+        users=tuple(fs.UserProfile(i + 1, c) for i, c in enumerate(counts)),
+        prior=fs.ClassPrior(rng.dirichlet(np.ones(num_classes))),
+    )
+    return cfg, {i + 1: fs.Strategy.concentrated(c, c) for i, c in enumerate(counts)}
+
+
+@pytest.mark.parametrize("seed", [*range(6), *GROUPED_CASES, *COUNT_CASES])
 def test_error_rate_matches_bruteforce(seed):
-    if isinstance(seed, tuple):
+    if isinstance(seed, tuple) and seed[0] == "counts":
+        cfg, strategies = counts_instance(np.random.default_rng(970), seed[1])
+    elif isinstance(seed, tuple):
         cfg, strategies = helpers.grouped_instance(np.random.default_rng(950 + seed[1]))
     else:
         rng = np.random.default_rng(600 + seed)
@@ -48,6 +70,22 @@ def test_error_rate_matches_bruteforce(seed):
         [strategies[u.user_id].oracle_count for u in cfg.users],
     )
     assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("num_classes, rivals", [(2, 27), (3, 9)])
+def test_vote_distribution_merges_across_groups(num_classes, rivals):
+    """Rivals of distinct oracle counts (27 binary ones: a network of 28 users):
+    merging keeps each distinct vote vector once, at most T + 1 of them for two
+    classes (T votes in all), not one per product of compositions."""
+    mults = range(1, rivals + 1)
+    engine = enumeration.ExactEnumerator(
+        helpers.weakly_accurate_matrix(np.random.default_rng(5), num_classes),
+        np.full(num_classes, 1.0 / num_classes), mults,
+    )
+    votes, probs = engine._vote_distribution
+    assert len(votes) <= math.comb(sum(mults) + num_classes - 1, num_classes - 1)
+    assert len(np.unique(votes, axis=0)) == len(votes)
+    assert probs.sum(axis=1) == pytest.approx(np.ones(num_classes), abs=1e-12)
 
 
 def test_error_rate_mc_identity_and_agreement():

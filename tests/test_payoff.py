@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,26 @@ def test_batched_rows_match_one_row_calls(ref_config, monkeypatch, case, block):
     assert batched.shape == (len(ds), stake)
     for got, f, r in zip(batched, focal_rows, rival_rows):
         assert got == pytest.approx(engine.payoffs(counts, f, r), abs=1e-15, rel=0)
+
+
+def test_group_tables_match_factorial_formulas():
+    """Multinomial probabilities and set-count divisors from the binomial table
+    agree with the per-composition factorial formulas for groups up to 30."""
+    rng = np.random.default_rng(31)
+    confusion = helpers.weakly_accurate_matrix(rng, 5)
+    sizes = (1, 2, 5, 10, 20, 30)
+    engine = enumeration.ExactEnumerator(
+        confusion, np.full(5, 0.2), [m for m, n in enumerate(sizes, 1) for _ in range(n)]
+    )
+    comps, probs, divisors = engine._groups
+    assert engine.group_sizes == list(sizes)
+    factorial = [math.factorial(x) for x in range(max(sizes) + 1)]
+    for n, comp, prob, divisor in zip(sizes, comps, probs, divisors):
+        coef = [factorial[n] // math.prod(factorial[x] for x in row) for row in comp.tolist()]
+        want = np.asarray(coef, float) * np.prod(confusion[:, None, :] ** comp, axis=2)
+        np.testing.assert_allclose(prob, want, rtol=1e-15, atol=0)
+        comb = [[math.comb(n, x) for x in row] for row in comp.tolist()]
+        np.testing.assert_allclose(divisor, np.asarray(comb, float), rtol=1e-15, atol=0)
 
 
 def test_total_reward_scales_the_estimate():

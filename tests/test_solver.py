@@ -33,6 +33,46 @@ def test_amt10_d_opt_is_the_grid_value(ref_config):
     assert len(diag["evaluations"]) == diag["grid_points"] * 45
 
 
+def test_amt10_evaluations_match_verify_nash_row_by_row(ref_config):
+    """The evaluations read off the search's blocks of rows equal the checks
+    verify_nash computes one exponent at a time, bit for bit."""
+    diag = {}
+    fs.find_d_opt(ref_config, diagnostics=diag)
+    visited = sorted({e["d"] for e in diag["evaluations"]})
+    assert len(visited) == diag["grid_points"] == 129
+    rebuilt = [
+        {"d": d, **check.to_dict(), "holds": check.holds}
+        for d in visited
+        for check in fs.verify_nash(ref_config, d).checks
+    ]
+    assert diag["evaluations"] == rebuilt
+
+
+def test_sampled_partial_rows_report_their_reversals():
+    """Under fail_fast a sampled row stops at its first violation; the
+    reversals still follow from the evaluations recorded. Few samples and no
+    noise margin make checks near the answer flip between rows."""
+    cfg = helpers.symmetric_binary_config([3, 2, 1])
+    settings = fs.SolverSettings(
+        epsilon=0.02, enumeration_budget=1, mc_samples=300, mc_margin=0.0, seed=2,
+        fail_fast=True,
+    )
+    diag = {}
+    fs.find_d_opt(cfg, settings, diagnostics=diag)
+    evaluations = diag["evaluations"]
+    per_row = [sum(e["d"] == d for e in evaluations) for d in {e["d"] for e in evaluations}]
+    assert min(per_row) < 3 == max(per_row)  # some rows are partial
+    held_at, want = {}, []
+    for e in evaluations:
+        pair = (e["n"], e["c"])
+        if e["holds"]:
+            held_at.setdefault(pair, e["d"])
+        elif pair in held_at:
+            want.append({"n": e["n"], "c": e["c"], "held_at": held_at.pop(pair),
+                         "failed_at": e["d"]})
+    assert want and diag["reversals"] == sorted(want, key=lambda r: (r["n"], r["c"]))
+
+
 def test_find_d_opt_matches_frozen_oracle_value(trio_config):
     settings = fs.SolverSettings(epsilon=0.05)
     d_opt, cert = fs.find_d_opt(trio_config, settings)
@@ -142,6 +182,10 @@ def test_settings_validation():
         fs.SolverSettings(d_max=0.5)
     with pytest.raises(ValueError):
         fs.SolverSettings(starting_d=0.9, d_max=2.0)
+    # grid rows are rounded to 12 decimals: a finer step would repeat rows
+    with pytest.raises(ValueError):
+        fs.SolverSettings(epsilon=1e-13)
+    assert fs.SolverSettings(epsilon=1e-12).epsilon == 1e-12
 
 
 def test_mc_fallback_respects_noise_margin(trio_config):
