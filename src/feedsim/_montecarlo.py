@@ -4,7 +4,9 @@ Each trial draws a truth class from the prior, one report per user from the
 confusion row, resolves the majority vote with a uniformly sampled tie-break,
 and settles the reward split -- the same round semantics as the scalar
 building blocks (`sample_report`, `majority_vote`, `distribute_rewards`),
-evaluated in batches of whole-array passes, whatever the number of users.
+evaluated in batches of whole-array passes, whatever the number of users:
+one per CDF threshold, which counts each uniform's class and the vote weight
+above the threshold, and one per class to find the first winner.
 
 The stream is a contract: a batch draws n truth uniforms, then n x users
 report uniforms, then one tie-break uniform per round, tied or not, in batches
@@ -23,25 +25,33 @@ import numpy as np
 _BATCH = 1 << 16
 
 
-def _reports(uniforms: np.ndarray, thresholds: np.ndarray, dtype) -> np.ndarray:
-    """Class index of each (round, user) uniform: how many of its round's CDF
-    thresholds it reaches."""
-    reports = np.zeros(uniforms.shape, dtype=dtype)
-    for j in range(thresholds.shape[1]):
-        reports += uniforms >= thresholds[:, j, None]
-    return reports
+def _tally(uniforms: np.ndarray, truth: np.ndarray, thresholds: np.ndarray,
+           mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each (round, user) report, the count of its round's thresholds its uniform
+    reaches, and each round's class-major vote totals, one pass per threshold."""
+    reports = np.zeros(uniforms.shape, dtype=np.min_scalar_type(thresholds.shape[0]))
+    # above[j]: the vote weight at class j or higher, an exact sum of integers
+    above = np.empty((thresholds.shape[0] + 2, uniforms.shape[0]))
+    above[0] = mults.sum()
+    above[-1] = 0.0
+    for j, row in enumerate(thresholds):
+        reached = uniforms >= row.take(truth)[:, None]
+        reports += reached.view(np.uint8)
+        above[j + 1] = reached @ mults
+    return reports, above[:-1] - above[1:]
 
 
-def _decide(reports: np.ndarray, weights: np.ndarray, num_classes: int,
-            tie_uniforms: np.ndarray) -> np.ndarray:
+def _decide(votes: np.ndarray, tie_uniforms: np.ndarray) -> np.ndarray:
     """Each round's output: its single winner, or the winner its tie uniform
     picks when several classes share the most votes."""
-    n = reports.shape[0]
-    cells = np.multiply(reports, n, dtype=np.int64) + np.arange(n)[:, None]
-    votes = np.bincount(cells.ravel(), weights, n * num_classes).reshape(num_classes, n)
     winner_mask = votes == votes.max(axis=0)
     n_winners = winner_mask.sum(axis=0)
-    output = winner_mask.argmax(axis=0)
+    # the first winner's class counts the classes before it: one pass per class
+    ahead = ~winner_mask[0]
+    output = ahead.astype(np.min_scalar_type(votes.shape[0] - 1))
+    for row in winner_mask[1:-1]:
+        ahead &= ~row
+        output += ahead.view(np.uint8)
     tied = np.flatnonzero(n_winners > 1)
     if tied.size:
         n_tied = n_winners[tied]
@@ -65,20 +75,19 @@ def mc_rounds(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     mults = np.asarray(multiplicities, dtype=np.float64)
-    num_users = mults.size
-    cum_prior = np.cumsum(np.asarray(prior, dtype=np.float64))[:-1]
-    cum_rows = np.cumsum(np.asarray(confusion, dtype=np.float64), axis=1)[:, :-1]
-    num_classes = cum_rows.shape[1] + 1
-    report_dtype = np.min_scalar_type(num_classes - 1)
-    weights = np.tile(mults, min(int(samples), _BATCH))
+    cum_prior = np.cumsum(np.asarray(prior, dtype=np.float64))[:-1].tolist()
+    # class-major: row j holds the j-th report threshold of every truth class
+    thresholds = np.cumsum(np.asarray(confusion, dtype=np.float64), axis=1)[:, :-1].T.copy()
     remaining = int(samples)
     while remaining > 0:
         n = min(remaining, _BATCH)
         remaining -= n
-        truth = np.searchsorted(cum_prior, rng.random(n), side="right")
-        reports = _reports(rng.random((n, num_users)), cum_rows[truth], report_dtype)
-        output = _decide(reports, weights[: n * num_users], num_classes, rng.random(n))
-        yield truth, reports, output
+        truth_uniforms = rng.random(n)
+        truth = np.zeros(n, dtype=np.intp)
+        for threshold in cum_prior:  # a right-side search: the CDF never decreases
+            truth += truth_uniforms >= threshold
+        reports, votes = _tally(rng.random((n, mults.size)), truth, thresholds, mults)
+        yield truth, reports, _decide(votes, rng.random(n))
 
 
 def mean_and_stderr(total: float, total_sq: float, samples: int) -> tuple[float, float]:

@@ -343,7 +343,7 @@ def write_text_atomic(path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -353,8 +353,8 @@ def write_text_atomic(path, text: str) -> None:
 def read_config_document(path) -> dict:
     """Parse a JSON config document, raising ConfigFormatError on unreadable input."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigFormatError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)

@@ -119,3 +119,41 @@ def reference_mc_rounds(confusion, prior, multiplicities, samples, rng):
         pick = np.minimum((rng.random(n) * n_winners).astype(np.int64) + 1, n_winners)
         output = (np.cumsum(winner_mask, axis=1) >= pick[:, None]).argmax(axis=1)
         yield truth, reports, output
+
+
+def reference_synthesize_records(confusion, num_records, num_tasks, num_annotators,
+                                 seed, low_participation_annotator=None,
+                                 low_participation_records=5):
+    """The per-record loop `ingest.synthesize_records` replaced, kept as the
+    reference its records must equal: same draws, same order."""
+    rng = np.random.default_rng(seed)
+    k = confusion.num_classes
+    gold = rng.integers(1, k + 1, size=num_tasks)
+    cum = np.cumsum(confusion.entries, axis=1)
+    records = []
+    task_ids = rng.integers(0, num_tasks, size=num_records)
+    annotators = rng.integers(0, num_annotators, size=num_records)
+    uniforms = rng.random(num_records)
+    for t, a, u in zip(task_ids, annotators, uniforms):
+        truth = int(gold[t])
+        label = int(min(np.searchsorted(cum[truth - 1], u, side="right"), k - 1)) + 1
+        records.append(
+            fs.AnnotationRecord(
+                task_id=f"task{t:06d}",
+                annotator_id=f"worker{a:04d}",
+                label=label,
+                gold_label=truth,
+            )
+        )
+    if low_participation_annotator is not None:
+        for t in range(low_participation_records):
+            truth = int(gold[t % num_tasks])
+            records.append(
+                fs.AnnotationRecord(
+                    task_id=f"task{t % num_tasks:06d}",
+                    annotator_id=low_participation_annotator,
+                    label=truth,
+                    gold_label=truth,
+                )
+            )
+    return records

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import feedsim as fs
+import helpers
 from feedsim.ingest import synthesize_records, write_annotation_csv
 
 
@@ -111,6 +112,50 @@ def test_round_trip_recovery_improves_with_data(ref_config):
     assert err_large < err_small
     assert err_large <= 0.01
     assert not est_large.violations()
+
+
+def _rows_short_of_one(k, shortfall):
+    """k-class rows that sum to an ulp below 1 - shortfall, last column empty."""
+    rows = np.full((k, k), 1.0 / (k - 1))
+    rows[:, -1] = 0.0
+    rows[:, -2] = np.nextafter(1.0, 0.0) - shortfall - rows[:, :-2].sum(axis=1)
+    assert np.all(np.cumsum(rows, axis=1)[:, -1] < 1.0 - shortfall)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 2024])
+@pytest.mark.parametrize("confusion", [
+    helpers.weakly_accurate_matrix(np.random.default_rng(3), 4),
+    _rows_short_of_one(3, 0.0),
+    _rows_short_of_one(4, 0.25),  # uniforms past the total land in class k
+], ids=["weakly-accurate", "ulp-below-one", "quarter-short"])
+def test_synthesized_records_match_the_per_record_loop(confusion, seed):
+    args = (fs.ConfusionMatrix(confusion), 3000, 40, 7, seed, "lurker", 6)
+    assert synthesize_records(*args) == helpers.reference_synthesize_records(*args)
+
+
+def test_records_read_back_equal_the_synthesized_ones(tmp_path, ref_config):
+    records = synthesize_records(ref_config.confusion, num_records=500, num_tasks=50,
+                                 num_annotators=6, seed=5,
+                                 low_participation_annotator="lurker")
+    path = tmp_path / "records.csv"
+    write_annotation_csv(records, path)
+    assert fs.read_annotation_csv(path, fs.IngestSettings(), 5) == records
+    assert hash(records[0]) == hash(rec(*records[0]))
+    with pytest.raises(AttributeError):
+        records[0].label = 1
+
+
+def test_csv_with_a_byte_order_mark_reads_the_same_records(tmp_path):
+    text = "task_id,annotator_id,label,gold_label\nt1,a,1,2\nt2,b,2,\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    settings = fs.IngestSettings()
+    assert (fs.read_annotation_csv(marked, settings, 2)
+            == fs.read_annotation_csv(plain, settings, 2)
+            == [rec("t1", "a", 1, 2), rec("t2", "b", 2, None)])
 
 
 def test_csv_round_trip_with_label_map(tmp_path):

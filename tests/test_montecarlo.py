@@ -105,6 +105,29 @@ def test_stream_matches_loop_kernel_when_cells_outgrow_16_bits():
                        _montecarlo._BATCH + tail, lambda: np.random.default_rng(12345))
 
 
+def test_stream_matches_loop_kernel_with_16_bit_reports():
+    # 257 classes need uint16 reports, fed one threshold at a time; half of
+    # every row sits on the last class, so reports above 255 are common
+    k = 257
+    confusion = np.full((k, k), 0.5 / (k - 1))
+    confusion[:, -1] = 0.5
+    prior = np.random.default_rng(4).dirichlet(np.ones(k))
+    mults = [1, 2, 1, 1, 3]
+    assert_same_stream(confusion, prior, mults, 400, lambda: np.random.default_rng(8))
+    (_, reports, _), = _montecarlo.mc_rounds(confusion, prior, mults, 400,
+                                             np.random.default_rng(8))
+    assert reports.dtype == np.uint16 and reports.max() == k - 1
+
+
+def test_one_user_network_outputs_its_report():
+    confusion = helpers.weakly_accurate_matrix(np.random.default_rng(6), 3)
+    prior = np.array([0.2, 0.5, 0.3])
+    assert_same_stream(confusion, prior, [3], 2000, lambda: np.random.default_rng(2))
+    for _, reports, output in _montecarlo.mc_rounds(confusion, prior, [3], 2000,
+                                                    np.random.default_rng(2)):
+        assert np.array_equal(output, reports[:, 0])
+
+
 @pytest.mark.parametrize(
     "case", FROZEN["payoff"], ids=lambda c: f"s{c['seed']}c{c['c']}d{c['d']}")
 def test_amt10_payoff_mc_matches_frozen(ref_config, case):
