@@ -353,7 +353,7 @@ def write_text_atomic(path, text: str) -> None:
 def read_config_document(path) -> dict:
     """Parse a JSON config document, raising ConfigFormatError on unreadable input."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigFormatError(f"cannot read config {path}: {exc}") from exc
     try:

@@ -59,6 +59,29 @@ def grouped_instance(rng):
     return cfg, strategies
 
 
+# confusion rows and per-user oracle counts under which vote totals tie often:
+# uniform rows, identity rows, and binary networks with even vote totals
+TIE_NETWORKS = {
+    "uniform3": (np.full((3, 3), 1 / 3), (1, 2, 1, 2)),
+    "uniform4": (np.full((4, 4), 1 / 4), (2, 1, 1, 2)),
+    "identity3": (np.eye(3), (1, 2, 1, 2)),
+    "binary1122": ([[0.7, 0.3], [0.2, 0.8]], (1, 1, 2, 2)),
+    "binary222": ([[0.6, 0.4], [0.35, 0.65]], (2, 2, 2)),
+}
+
+
+def tie_instance(name):
+    """A `TIE_NETWORKS` config plus a strategy per user: user i runs the i-th
+    oracle count, concentrated on one unit more stake than it has oracles."""
+    matrix, counts = TIE_NETWORKS[name]
+    cfg = fs.SystemConfig(
+        num_classes=len(matrix),
+        confusion=fs.ConfusionMatrix(matrix),
+        users=tuple(fs.UserProfile(i + 1, c + 1) for i, c in enumerate(counts)),
+    )
+    return cfg, {i + 1: fs.Strategy.concentrated(c + 1, c) for i, c in enumerate(counts)}
+
+
 def random_solvable_config(rng, max_users=4, max_classes=3):
     """Random config in which no user can force wins by mirroring.
 

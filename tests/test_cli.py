@@ -28,6 +28,15 @@ def test_validate_ok(capsys, ref_config_path):
     assert "weakly accurate: yes" in out
 
 
+def test_validate_accepts_byte_order_mark(tmp_path, capsys, ref_config_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + ref_config_path.read_bytes())
+    assert main(["validate", str(ref_config_path)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_validate_domain_violation_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(

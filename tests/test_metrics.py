@@ -35,6 +35,7 @@ COUNT_CASES = [
     pytest.param(("counts", (1, 1, 1, 2)), id="collide112"),
     pytest.param(("counts", (2, 3, 1, 4, 2)), id="distinct"),
 ]
+TIE_CASES = [pytest.param(("ties", name), id=name) for name in helpers.TIE_NETWORKS]
 
 
 def counts_instance(rng, counts, num_classes=3):
@@ -48,9 +49,11 @@ def counts_instance(rng, counts, num_classes=3):
     return cfg, {i + 1: fs.Strategy.concentrated(c, c) for i, c in enumerate(counts)}
 
 
-@pytest.mark.parametrize("seed", [*range(6), *GROUPED_CASES, *COUNT_CASES])
+@pytest.mark.parametrize("seed", [*range(6), *GROUPED_CASES, *COUNT_CASES, *TIE_CASES])
 def test_error_rate_matches_bruteforce(seed):
-    if isinstance(seed, tuple) and seed[0] == "counts":
+    if isinstance(seed, tuple) and seed[0] == "ties":
+        cfg, strategies = helpers.tie_instance(seed[1])
+    elif isinstance(seed, tuple) and seed[0] == "counts":
         cfg, strategies = counts_instance(np.random.default_rng(970), seed[1])
     elif isinstance(seed, tuple):
         cfg, strategies = helpers.grouped_instance(np.random.default_rng(950 + seed[1]))
@@ -70,6 +73,29 @@ def test_error_rate_matches_bruteforce(seed):
         [strategies[u.user_id].oracle_count for u in cfg.users],
     )
     assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("mirroring", [False, True], ids=["single", "mirroring"])
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+def test_small_error_rates_keep_relative_accuracy(eps, mirroring):
+    """Near-identity rows give error rates near eps**2; no miss may be formed
+    as a difference of larger masses, or it loses its leading digits."""
+    matrix = np.full((3, 3), eps / 2)
+    np.fill_diagonal(matrix, 1.0 - eps)
+    stakes = (2, 1, 1, 3)
+    cfg = fs.SystemConfig(
+        num_classes=3,
+        confusion=fs.ConfusionMatrix(matrix),
+        users=tuple(fs.UserProfile(i + 1, s) for i, s in enumerate(stakes)),
+    )
+    strategies = {i + 1: fs.Strategy.concentrated(s, s if mirroring else 1)
+                  for i, s in enumerate(stakes)}
+    got = fs.error_rate_exact(cfg, strategies)
+    want = oracle.error_rate(
+        matrix.tolist(), cfg.prior.probabilities.tolist(),
+        [strategies[u.user_id].oracle_count for u in cfg.users],
+    )
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("num_classes, rivals", [(2, 27), (3, 9)])

@@ -74,11 +74,15 @@ def test_frozen_symmetric_trio_value():
 # 5-6 users whose rivals share (multiplicity, factor) groups, with mixed
 # oracle counts: shapes random_config never draws
 GROUPED_CASES = [pytest.param(("grouped", s), id=f"grouped{s}") for s in range(6)]
+TIE_CASES = [pytest.param(("ties", name), id=name) for name in helpers.TIE_NETWORKS]
 
 
-@pytest.mark.parametrize("seed", [*range(8), *GROUPED_CASES])
+@pytest.mark.parametrize("seed", [*range(8), *GROUPED_CASES, *TIE_CASES])
 def test_exact_matches_bruteforce_on_random_instances(seed):
-    if isinstance(seed, tuple):
+    if isinstance(seed, tuple) and seed[0] == "ties":
+        rng = np.random.default_rng(990)
+        cfg, strategies = helpers.tie_instance(seed[1])
+    elif isinstance(seed, tuple):
         rng = np.random.default_rng(900 + seed[1])
         cfg, strategies = helpers.grouped_instance(rng)
     else:
@@ -140,6 +144,37 @@ def test_batched_rows_match_one_row_calls(ref_config, monkeypatch, case, block):
     assert batched.shape == (len(ds), stake)
     for got, f, r in zip(batched, focal_rows, rival_rows):
         assert got == pytest.approx(engine.payoffs(counts, f, r), abs=1e-15, rel=0)
+
+
+def rival_population(case, ref_config):
+    """(confusion, prior, rival oracle counts) of one engine."""
+    if case == "amt10":
+        return ref_config.confusion.entries, ref_config.prior.probabilities, (1,) * 9
+    if case == "grouped":
+        cfg, strategies = helpers.grouped_instance(np.random.default_rng(903))
+        mults = [s.oracle_count for user, s in strategies.items() if user != 1]
+        return cfg.confusion.entries, cfg.prior.probabilities, mults
+    if case == "binary":
+        return [[0.7, 0.3], [0.2, 0.8]], [0.4, 0.6], (1, 2, 2, 3)
+    return [[1.0]], [1.0], (1, 2)  # one class
+
+
+@pytest.mark.parametrize("case", ["amt10", "grouped", "binary", "one-class"])
+def test_counts_are_independent(ref_config, case):
+    """A count's error rate and win table do not depend on which other
+    counts share the call that builds them."""
+    population = rival_population(case, ref_config)
+    counts = range(1, 9)
+    together = enumeration.ExactEnumerator(*population)
+    alone = enumeration.ExactEnumerator(*population)
+    assert together.error_rates(counts).tolist() == [alone.error_rates([c])[0] for c in counts]
+    rng = np.random.default_rng(17)
+    focal = rng.uniform(1.0, 5.0, size=len(counts))
+    rivals = rng.uniform(1.0, 5.0, size=together.num_rivals)
+    together.payoffs(counts, focal, rivals)
+    for c, f in zip(counts, focal):
+        alone.payoffs([c], [f], rivals)
+    assert (together.payoffs(counts, focal, rivals) == alone.payoffs(counts, focal, rivals)).all()
 
 
 def test_group_tables_match_factorial_formulas():
