@@ -4,16 +4,25 @@ Each trial draws a truth class from the prior, one report per user from the
 confusion row, resolves the majority vote with a uniformly sampled tie-break,
 and settles the reward split -- the same round semantics as the scalar
 building blocks (`sample_report`, `majority_vote`, `distribute_rewards`),
-evaluated in batches of whole-array passes, whatever the number of users:
-one per CDF threshold, which counts each uniform's class and the vote weight
-above the threshold, and one per class to find the first winner.
+evaluated in whole-array passes whatever the number of users.
+
+A drawn batch is worked in blocks of at most `_CELLS` (user, round) cells, so
+each block's temporaries stay in cache. A block is taken user-major, users
+sorted by multiplicity, so users of equal multiplicity form one group of
+contiguous rows. Per CDF threshold, one compare of the block against its
+rounds' thresholds adds into the reports, and one `np.add.reduce` count per
+group, times the group's multiplicity, gives the vote weight at or above that
+threshold. The votes are differences of those weights, exact integers, and one
+pass per class finds the first winner. Reports are written back in user
+order.
 
 The stream is a contract: a batch draws n truth uniforms, then n x users
 report uniforms, then one tie-break uniform per round, tied or not, in batches
 of exactly `_BATCH`, so a seed yields the same rounds on every version
-(`tests/helpers.reference_mc_rounds` is the reference). Both CDFs drop their
-last column, so a uniform at or above a row's total (rows may sum to an ulp
-below 1) lands in the last class.
+(`tests/helpers.reference_mc_rounds` is the reference). Blocks only split the
+work on a batch already drawn. Both CDFs drop their last column, so a uniform
+at or above a row's total (rows may sum to an ulp below 1) lands in the last
+class.
 """
 
 from __future__ import annotations
@@ -23,21 +32,44 @@ from typing import Iterator, Sequence
 import numpy as np
 
 _BATCH = 1 << 16
+_CELLS = 1 << 16  # (user, round) cells per block
+
+
+def _groups(mults: np.ndarray) -> tuple[np.ndarray, list[tuple[slice, int, np.dtype]]]:
+    """The user order that sorts multiplicities, and each equal-multiplicity
+    group as (its rows in that order, its multiplicity, a dtype its count
+    cannot overflow)."""
+    order = np.argsort(mults, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(mults[order])) + 1).tolist(), mults.size]
+    return order, [
+        (slice(lo, hi), int(mults[order[lo]]), np.min_scalar_type(hi - lo))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def _tally(uniforms: np.ndarray, truth: np.ndarray, thresholds: np.ndarray,
-           mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each (round, user) report, the count of its round's thresholds its uniform
-    reaches, and each round's class-major vote totals, one pass per threshold."""
-    reports = np.zeros(uniforms.shape, dtype=np.min_scalar_type(thresholds.shape[0]))
-    # above[j]: the vote weight at class j or higher, an exact sum of integers
-    above = np.empty((thresholds.shape[0] + 2, uniforms.shape[0]))
-    above[0] = mults.sum()
-    above[-1] = 0.0
-    for j, row in enumerate(thresholds):
-        reached = uniforms >= row.take(truth)[:, None]
+           groups: list[tuple[slice, int, np.dtype]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each (user, round) report of a user-major block, the count of its round's
+    thresholds its uniform reaches, and each round's class-major vote totals,
+    one pass per threshold."""
+    num_thresholds = thresholds.shape[0]
+    reports = np.zeros(uniforms.shape, dtype=np.min_scalar_type(num_thresholds))
+    # counts[g][j]: group g's users whose uniform reaches threshold j
+    counts = [np.empty((num_thresholds, uniforms.shape[1]), dtype=dtype)
+              for _, _, dtype in groups]
+    for j, row in enumerate(thresholds.take(truth, axis=1)):
+        reached = uniforms >= row
         reports += reached.view(np.uint8)
-        above[j + 1] = reached @ mults
+        for (part, _, dtype), count in zip(groups, counts):
+            np.add.reduce(reached[part], axis=0, dtype=dtype, out=count[j])
+    # above[j]: the vote weight at class j or higher, an exact integer no
+    # larger than the total weight
+    total = sum(mult * (part.stop - part.start) for part, mult, _ in groups)
+    weight = np.min_scalar_type(total)
+    above = np.zeros((num_thresholds + 2, uniforms.shape[1]), dtype=weight)
+    above[0] = total
+    for (_, mult, _), count in zip(groups, counts):
+        above[1:-1] += np.multiply(count, weight.type(mult), dtype=weight)
     return reports, above[:-1] - above[1:]
 
 
@@ -70,14 +102,17 @@ def mc_rounds(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield batches of (truth, per-user reports, decided output), all 0-based.
 
-    The helpers' temporaries are freed on return, before the batch is yielded.
+    Block temporaries are freed block by block, before the batch is yielded.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    mults = np.asarray(multiplicities, dtype=np.float64)
+    mults = np.asarray(multiplicities, dtype=np.int64)
+    order, groups = _groups(mults)
+    block = max(1, _CELLS // mults.size)
     cum_prior = np.cumsum(np.asarray(prior, dtype=np.float64))[:-1].tolist()
     # class-major: row j holds the j-th report threshold of every truth class
     thresholds = np.cumsum(np.asarray(confusion, dtype=np.float64), axis=1)[:, :-1].T.copy()
+    class_index = np.min_scalar_type(thresholds.shape[0])
     remaining = int(samples)
     while remaining > 0:
         n = min(remaining, _BATCH)
@@ -86,8 +121,17 @@ def mc_rounds(
         truth = np.zeros(n, dtype=np.intp)
         for threshold in cum_prior:  # a right-side search: the CDF never decreases
             truth += truth_uniforms >= threshold
-        reports, votes = _tally(rng.random((n, mults.size)), truth, thresholds, mults)
-        yield truth, reports, _decide(votes, rng.random(n))
+        uniforms = rng.random((n, mults.size))
+        tie_uniforms = rng.random(n)
+        reports = np.empty(uniforms.shape, dtype=class_index)
+        output = np.empty(n, dtype=class_index)
+        for lo in range(0, n, block):
+            part = slice(lo, lo + block)
+            block_reports, votes = _tally(uniforms[part].T[order], truth[part],
+                                          thresholds, groups)
+            reports[part, order] = block_reports.T
+            output[part] = _decide(votes, tie_uniforms[part])
+        yield truth, reports, output
 
 
 def mean_and_stderr(total: float, total_sq: float, samples: int) -> tuple[float, float]:

@@ -43,19 +43,20 @@ _THREADS_HELP = "accepted for compatibility; has no effect"
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance written next to every output file."""
+    """Provenance written next to every output file. `inputs` names each input
+    file by the kind of input it is, such as `config_path` or `records_path`."""
 
     command: str
-    config_path: str
+    inputs: dict[str, str]
     seed: int
     tool_version: str
     timestamp: str
 
     @classmethod
-    def capture(cls, command: str, config_path, seed: int) -> "RunManifest":
+    def capture(cls, command: str, seed: int, **inputs) -> "RunManifest":
         return cls(
             command=command,
-            config_path=str(config_path),
+            inputs={key: str(path) for key, path in inputs.items()},
             seed=int(seed),
             tool_version=__version__,
             timestamp=datetime.now(timezone.utc).isoformat(),
@@ -63,7 +64,9 @@ class RunManifest:
 
     def write_beside(self, output_path) -> None:
         sidecar = Path(str(output_path) + ".manifest.json")
-        write_text_atomic(sidecar, json.dumps(self.__dict__, indent=2) + "\n")
+        doc = {"command": self.command, **self.inputs, "seed": self.seed,
+               "tool_version": self.tool_version, "timestamp": self.timestamp}
+        write_text_atomic(sidecar, json.dumps(doc, indent=2) + "\n")
 
 
 def _parse_c_range(text: str) -> list[int]:
@@ -128,7 +131,9 @@ def cmd_solve_d(args) -> int:
           f"satisfied={'yes' if certificate.satisfied else 'no'}")
     if args.out:
         write_text_atomic(args.out, json.dumps(certificate.to_dict(), indent=2) + "\n")
-        RunManifest.capture("solve-d", args.config, DEFAULT_SEED).write_beside(args.out)
+        RunManifest.capture("solve-d", DEFAULT_SEED, config_path=args.config).write_beside(
+            args.out
+        )
     return 0
 
 
@@ -148,7 +153,7 @@ def cmd_sweep(args) -> int:
     )
     rows = run_experiment(spec)
     write_sweep_csv(rows, args.out)
-    RunManifest.capture("sweep", args.config, spec.seed).write_beside(args.out)
+    RunManifest.capture("sweep", spec.seed, config_path=args.config).write_beside(args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -169,9 +174,8 @@ def cmd_estimate_cm(args) -> int:
     fragment = {"num_classes": args.k, "confusion": matrix.entries.tolist()}
     if args.out:
         write_text_atomic(args.out, json.dumps(fragment, indent=2) + "\n")
-        RunManifest.capture("estimate-cm", args.records, DEFAULT_SEED).write_beside(
-            args.out
-        )
+        RunManifest.capture("estimate-cm", DEFAULT_SEED,
+                            records_path=args.records).write_beside(args.out)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 

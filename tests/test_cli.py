@@ -93,6 +93,7 @@ def test_solve_d_writes_certificate(trio_path, tmp_path, capsys):
     assert doc["checks"][0].keys() == {"n", "c", "payoff_single", "payoff_mirror"}
     manifest = json.loads((tmp_path / "cert.json.manifest.json").read_text())
     assert manifest["command"] == "solve-d"
+    assert manifest["config_path"] == trio_path
     assert manifest["tool_version"] == fs.__version__
 
 
@@ -198,6 +199,18 @@ def test_estimate_cm_round_trip(tmp_path, capsys):
     assert fragment["confusion"] == [[1.0, 0.0], [0.0, 1.0]]
     report = json.loads(capsys.readouterr().out)
     assert report["kept_records"] == 4
+
+
+def test_estimate_cm_manifest_names_the_records_file(tmp_path):
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text("task_id,annotator_id,label,gold_label\nt1,a,1,1\nt2,a,2,2\n")
+    out = tmp_path / "fragment.json"
+    assert main(["estimate-cm", str(csv_path), "--k", "2", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "fragment.json.manifest.json").read_text())
+    assert manifest.keys() == {"command", "records_path", "seed", "tool_version",
+                               "timestamp"}
+    assert manifest["command"] == "estimate-cm"
+    assert manifest["records_path"] == str(csv_path)
 
 
 def test_estimate_cm_without_gold_exits_1(tmp_path, capsys):

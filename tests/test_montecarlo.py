@@ -95,6 +95,27 @@ def test_stream_matches_loop_kernel_across_batches(monkeypatch):
                        lambda: np.random.default_rng(9))
 
 
+@pytest.mark.parametrize("mults,cells", [
+    ([3, 1, 1, 2], 28),   # 7-round blocks: each 50-round batch ends in a 1-round block
+    ([3, 1, 2], 21),      # one user per multiplicity group, given out of order
+    ([3, 1, 2], 1),       # fewer cells than users: one round per block
+])
+def test_stream_matches_loop_kernel_across_blocks(monkeypatch, mults, cells):
+    confusion = helpers.weakly_accurate_matrix(np.random.default_rng(1), 4)
+    monkeypatch.setattr(_montecarlo, "_BATCH", 50)
+    monkeypatch.setattr(_montecarlo, "_CELLS", cells)
+    assert_same_stream(confusion, np.full(4, 0.25), mults, 123,
+                       lambda: np.random.default_rng(9))
+
+
+def test_stream_matches_loop_kernel_when_a_group_outgrows_8_bits():
+    # 300 single-oracle users form one group, and most of them reach the first
+    # threshold whenever the truth is not class 0: a uint8 count would wrap
+    confusion = helpers.weakly_accurate_matrix(np.random.default_rng(3), 3)
+    assert_same_stream(confusion, np.full(3, 1 / 3), [1] * 300, 500,
+                       lambda: np.random.default_rng(7))
+
+
 def test_stream_matches_loop_kernel_when_cells_outgrow_16_bits():
     # a short last batch whose largest (class, round) cell, n * (K-1), needs
     # more than 16 bits while n itself fits in 16
