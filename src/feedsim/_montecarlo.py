@@ -152,7 +152,11 @@ def payoff_mc(
     samples: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Sample mean and standard error of the focal user's round payoff."""
+    """Sample mean and standard error of the focal user's round payoff.
+
+    The moments are those of the focal share of the reward, which lies in
+    [0, 1]; scaling by `total_reward` once at the end keeps the squares
+    finite for every finite reward."""
     factors = np.asarray(user_factors, dtype=np.float64)
     rng = np.random.default_rng(seed)
     total = 0.0
@@ -160,15 +164,11 @@ def payoff_mc(
     for _, reports, output in mc_rounds(confusion, prior, multiplicities, samples, rng):
         correct = reports == output[:, None]
         denom = correct @ factors
-        # factor/denom first: a lone winner pays exactly total_reward
-        payoff = np.where(
-            correct[:, focal_index],
-            factors[focal_index] / denom * float(total_reward),
-            0.0,
-        )
-        total += float(payoff.sum())
-        total_sq += float((payoff * payoff).sum())
-    return mean_and_stderr(total, total_sq, samples)
+        share = np.where(correct[:, focal_index], factors[focal_index] / denom, 0.0)
+        total += float(share.sum())
+        total_sq += float((share * share).sum())
+    mean, stderr = mean_and_stderr(total, total_sq, samples)
+    return mean * float(total_reward), stderr * float(total_reward)
 
 
 def error_rate_mc_core(

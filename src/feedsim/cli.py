@@ -82,6 +82,17 @@ def _parse_d_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+def _parse_label_map(text: str) -> dict[str, int]:
+    """A JSON object mapping raw labels to integer class indices."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ConfigFormatError("--label-map must be a JSON object")
+    try:
+        return {str(k): int(v) for k, v in doc.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigFormatError("--label-map values must be integer class indices") from exc
+
+
 def cmd_validate(args) -> int:
     config = load_config(args.config, renormalize=args.renormalize)
     report = validate_config(config)
@@ -159,11 +170,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_estimate_cm(args) -> int:
-    label_map = None
-    if args.label_map:
-        label_map = {
-            str(k): int(v) for k, v in json.loads(args.label_map).items()
-        }
+    label_map = _parse_label_map(args.label_map) if args.label_map else None
     settings = IngestSettings(
         min_participation=args.min_participation,
         smoothing=args.smoothing,

@@ -16,9 +16,12 @@ standings (`_standings`) are found once for all counts, and a count is one
 groups the rivals by (multiplicity, factor), sums f / (f + M) over every
 split of the matching rivals across those groups, weighted by the number of
 rival sets with that split (M is the split's factor sum), and takes one dot
-product with the table. A query may carry a leading axis of rows, one per
-exponent: rivals then share a group when their factors agree on every row,
-and each numpy pass covers as many rows as fit in one block of shares.
+product with the table. The table's states and a query's splits are both
+walked in mixed-radix blocks (`_blocks`) of at most `_BLOCK` (class, state)
+or (count, split) cells per numpy pass; every query rebuilds its splits, with
+no cache. A query may carry a leading axis of rows, one per exponent: rivals
+then share a group when their factors agree on every row, and every pass
+covers all rows.
 
 Error rates depend on vote counts only. Each multiplicity group's multinomial
 report counts give its vote-count vectors and their probability per truth
@@ -45,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 DEFAULT_BUDGET = 10**9
-_BLOCK = 1 << 16  # (class, state) cells or splits per numpy pass: stays in cache
+_BLOCK = 1 << 16  # (class, state) or (count, split) cells per pass: stays in cache
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -57,11 +60,6 @@ def _compositions(n: int, k: int) -> np.ndarray:
     bars = np.array(list(itertools.combinations(range(n + k - 1), k - 1)), dtype=np.int64)
     ends = np.ones((len(bars), 1), dtype=np.int64)
     return np.diff(np.hstack([-ends, bars, (n + k - 1) * ends])) - 1
-
-
-def _binomials(n: int) -> np.ndarray:
-    """C(a, b) for 0 <= a, b <= n as floats, 0 where b > a."""
-    return np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], float)
 
 
 def _blocks(radix: Sequence[int], rows: int):
@@ -111,7 +109,6 @@ class ExactEnumerator:
         truth_weight = self.prior[:, None] * self.confusion
         self._all_match = bool(np.all((self.confusion == 1.0) | (truth_weight == 0.0)))
         self._win: dict[int, np.ndarray] = {}
-        self._splits: dict[tuple, tuple] = {}
 
     @property
     def term_count(self) -> int:
@@ -128,11 +125,17 @@ class ExactEnumerator:
     # -- tables -------------------------------------------------------------
 
     @functools.cached_property
+    def _binomials(self) -> np.ndarray:
+        """C(a, b) for 0 <= a, b <= the largest group size as floats, 0 where b > a."""
+        n = max(self.group_sizes, default=0)
+        return np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], float)
+
+    @functools.cached_property
     def _groups(self) -> tuple[list, list, list]:
         """Per multiplicity group: its report counts per class (one row per
         composition), their probability per truth, and the number of rival
         sets behind each count."""
-        binom = _binomials(max(self.group_sizes, default=0))
+        binom = self._binomials
         comps, probs, divisors = [], [], []
         for n in self.group_sizes:
             comp = _compositions(n, self.num_classes)
@@ -176,31 +179,6 @@ class ExactEnumerator:
                 win = np.where(lead > -c, weight, np.where(lead == -c, tied, 0.0))
                 tables[i] += np.bincount(k_index.ravel(), weights=win.ravel(), minlength=self._k_size)
         self._win.update(zip(counts, tables))
-
-    def _split_grid(self, shape: tuple[tuple[int, int], ...]) -> tuple:
-        """The ways the matching rivals can spread across the groups of
-        `shape`, one (multiplicity, size) pair per (multiplicity, factor) group.
-
-        Returns `(cut, low, split, weight, k_index)`. Groups from `cut` on form
-        an inner grid of at most `_BLOCK` splits, kept as arrays: the matching
-        count per group, the number of rival sets with that split, and its
-        entry in the win tables. Queries loop over the groups before `cut`
-        (matching counts from `low` up), so only one block is ever held.
-        """
-        if shape not in self._splits:
-            sizes = [n for _, n in shape]
-            low = sizes if self._all_match else [0] * len(sizes)
-            radix = [n + 1 - lo for n, lo in zip(sizes, low)]
-            cut = len(radix)
-            while cut and math.prod(radix[cut - 1:]) <= _BLOCK:
-                cut -= 1
-            split = np.array(low[cut:], dtype=np.int64)[:, None] + next(_blocks(radix[cut:], _BLOCK))
-            weight = np.ones(split.shape[1])
-            for n, a in zip(sizes[cut:], split):
-                weight *= np.array([math.comb(n, x) for x in range(n + 1)], float)[a]
-            stride = np.array([self._k_stride[m] for m, _ in shape[cut:]], dtype=np.int64)
-            self._splits[shape] = (cut, low, split.astype(float), weight, stride @ split)
-        return self._splits[shape]
 
     @functools.cached_property
     def _vote_distribution(self) -> tuple[np.ndarray, np.ndarray]:
@@ -264,31 +242,24 @@ class ExactEnumerator:
         if missing:
             self._win_tables(missing)
         table = np.stack([self._win[c] for c in cs])
-        # rivals whose factors agree on every row share a group
+        # rivals whose factors agree on every row share a group; a pass walks
+        # the splits of the matching rivals across those groups
         groups = Counter(zip(self.mults, map(tuple, rf.T.tolist())))
-        shape = tuple((m, n) for (m, _), n in groups.items())
-        factor = np.array([f for _, f in groups], dtype=np.float64).reshape(len(shape), len(rf)).T
-        cut, low, split, weight, k_index = self._split_grid(shape)
-        head = list(zip(shape, low))[:cut]
-        step = max(1, _BLOCK // split.shape[1])  # rows per pass: at most one block of shares
+        sizes = np.array(list(groups.values()), dtype=np.int64)
+        factor = np.array([f for _, f in groups], dtype=np.float64).reshape(len(sizes), len(rf)).T
+        stride = np.array([self._k_stride[m] for m, _ in groups], dtype=np.int64)
+        low = sizes if self._all_match else np.zeros_like(sizes)
+        f = fs[:, :, None]
         out = np.zeros(fs.shape)
-        for start in range(0, len(fs), step):
-            rows = slice(start, start + step)
-            f = fs[rows, :, None]
+        for split in _blocks((sizes + 1 - low).tolist(), max(1, _BLOCK // len(cs))):
+            split += low[:, None]
             # einsum, not a matrix product: a row's sums must not depend on
             # how many rows share the call
-            inner = np.einsum("rg,gs->rs", factor[rows, cut:], split)
-            for outer in itertools.product(*(range(lo, n + 1) for (_, n), lo in head)):
-                k, sets = 0, 1
-                for ((mult, n), _), a in zip(head, outer):
-                    k += self._k_stride[mult] * a
-                    sets *= math.comb(n, a)
-                m = np.einsum("rg,g->r", factor[rows, :cut], np.asarray(outer, dtype=np.float64))
-                # in place: a fresh temporary this size would be paged in anew
-                share = f + m[:, None, None] + inner[:, None, :]
-                np.divide(f, share, out=share)
-                share *= table[:, k + k_index]
-                out[rows] += share @ (sets * weight)
+            share = f + np.einsum("rg,gs->rs", factor, split.astype(float))[:, None, :]
+            # in place: a fresh temporary this size would be paged in anew
+            np.divide(f, share, out=share)
+            share *= table[:, stride @ split]
+            out += share @ self._binomials[sizes[:, None], split].prod(axis=0)
         out *= float(total_reward)
         return out[0] if one_row else out
 

@@ -18,7 +18,14 @@ import numpy as np
 from . import _montecarlo
 from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
 from .enumeration import DEFAULT_BUDGET, ExactEnumerator
-from .model import Strategy, SystemConfig, require_valid, resolve_strategies, write_text_atomic
+from .model import (
+    ConfigFormatError,
+    Strategy,
+    SystemConfig,
+    require_valid,
+    resolve_strategies,
+    write_text_atomic,
+)
 from .payoff import (
     EXACT,
     MONTE_CARLO,
@@ -225,20 +232,38 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
 def experiment_from_dict(
     config: SystemConfig, section: Mapping | None, **overrides
 ) -> ExperimentSpec:
-    """Build a spec from a config document's `experiment` section plus overrides."""
+    """Build a spec from a config document's `experiment` section plus overrides.
+
+    A section that is not an object, value lists that are not lists of
+    numbers, or a sample count or seed that is not an integer raise
+    ConfigFormatError naming the field."""
+    if not isinstance(section, (Mapping, type(None))):
+        raise ConfigFormatError("experiment must be a JSON object")
     section = dict(section or {})
+    for key in ("c_values", "d_values"):
+        if not isinstance(section.get(key, []), list):
+            raise ConfigFormatError(f"experiment {key} must be a list of numbers")
     section.update({k: v for k, v in overrides.items() if v is not None})
     focal = section.get("focal_user", config.users[0].user_id)
     stake = config.user(focal).total_stake
-    c_values = section.get("c_values", list(range(1, stake + 1)))
-    d_values = section.get("d_values", [1.0])
     method = section.get("method", EXACT)
     return ExperimentSpec(
         config=config,
         focal_user=focal,
-        c_values=tuple(c_values),
-        d_values=tuple(d_values),
+        c_values=_field(section, "c_values", range(1, stake + 1), lambda v: tuple(map(int, v)),
+                        "a list of numbers"),
+        d_values=_field(section, "d_values", [1.0], lambda v: tuple(map(float, v)),
+                        "a list of numbers"),
         method=MONTE_CARLO if method == "mc" else method,
-        samples=int(section.get("samples", DEFAULT_MC_SAMPLES)),
-        seed=int(section.get("seed", DEFAULT_SEED)),
+        samples=_field(section, "samples", DEFAULT_MC_SAMPLES, int, "an integer"),
+        seed=_field(section, "seed", DEFAULT_SEED, int, "an integer"),
     )
+
+
+def _field(section: Mapping, key: str, default, convert, what: str):
+    """`convert` of the field's value; a value it cannot take raises
+    ConfigFormatError."""
+    try:
+        return convert(section.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigFormatError(f"experiment {key} must be {what}") from exc

@@ -44,10 +44,13 @@ class InvalidConfigError(ValueError):
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ConfigFormatError(f"{name} must be a flat sequence of numbers")
-    return arr
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.ndim == 1:
+            return arr
+    except (TypeError, ValueError):
+        pass
+    raise ConfigFormatError(f"{name} must be a flat sequence of numbers")
 
 
 @dataclass(frozen=True)

@@ -240,3 +240,50 @@ def test_estimate_cm_label_map(tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["confusion"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def assert_one_line_exit_2(code, capsys, field):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+
+@pytest.mark.parametrize("experiment,field", [
+    ([1, 2], "experiment"),
+    (5, "experiment"),
+    ({"c_values": 3}, "c_values"),
+    ({"c_values": [None]}, "c_values"),
+    ({"d_values": "2.28"}, "d_values"),
+    ({"d_values": [[2.28]]}, "d_values"),
+    ({"samples": None}, "samples"),
+    ({"seed": None}, "seed"),
+])
+def test_sweep_ill_formed_experiment_exits_2(tmp_path, capsys, ref_config_path,
+                                             experiment, field):
+    doc = json.loads(ref_config_path.read_text())
+    doc["experiment"] = experiment
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")])
+    assert_one_line_exit_2(code, capsys, field)
+
+
+@pytest.mark.parametrize("prior", [{"a": 1}, "abc"], ids=["object", "string"])
+@pytest.mark.parametrize("command", [
+    ["validate"], ["payoff", "--user", "1"], ["solve-d"], ["sweep", "--out", "sweep.csv"]
+], ids=lambda args: args[0])
+def test_ill_formed_prior_exits_2(tmp_path, capsys, ref_config_path, command, prior):
+    doc = json.loads(ref_config_path.read_text())
+    doc["prior"] = prior
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = main([command[0], str(path), *command[1:]])
+    assert_one_line_exit_2(code, capsys, "prior")
+
+
+@pytest.mark.parametrize("label_map", ["[1]", '"x"', '{"yes": null}'])
+def test_estimate_cm_ill_formed_label_map_exits_2(tmp_path, capsys, label_map):
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text("task_id,annotator_id,label,gold_label\nt1,a,yes,yes\n")
+    code = main(["estimate-cm", str(csv_path), "--k", "2", "--label-map", label_map])
+    assert_one_line_exit_2(code, capsys, "--label-map")

@@ -6,7 +6,9 @@ amt10's sampled answers against values frozen from that loop kernel.
 every user's report and the decided output must agree array for array.
 """
 
+import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +159,23 @@ def test_amt10_payoff_mc_matches_frozen(ref_config, case):
                            fs.optimal_allocation(stake, case["c"]), case["d"])
     got = fs.expected_payoff_mc(query, samples=FROZEN["samples"], seed=case["seed"])
     assert (got.value, got.std_error) == (case["value"], case["std_error"])
+
+
+def test_payoff_mc_is_finite_at_the_largest_rewards(ref_config):
+    """The moments are taken of the share, so a reward whose square overflows
+    still gives a finite estimate: exactly the reward times the unit one."""
+    stake = ref_config.user(1).total_stake
+    estimates = {}
+    for reward in (1.0, 1e300):
+        config = dataclasses.replace(ref_config, total_reward=reward)
+        assert fs.validate_config(config).is_valid
+        query = fs.PayoffQuery(config, 1, fs.optimal_allocation(stake, 8), 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates[reward] = fs.expected_payoff_mc(query, samples=5000, seed=3)
+    unit, large = estimates[1.0], estimates[1e300]
+    assert np.isfinite([large.value, large.std_error]).all() and large.std_error > 0
+    assert (large.value, large.std_error) == (1e300 * unit.value, 1e300 * unit.std_error)
 
 
 @pytest.mark.parametrize("case", FROZEN["error_rate"], ids=lambda c: f"s{c['seed']}")

@@ -121,7 +121,7 @@ ROW_CASES = [pytest.param(("amt10", u), id=f"amt10-user{u}") for u in (1, 7)] + 
 @pytest.mark.parametrize("case", ROW_CASES)
 def test_batched_rows_match_one_row_calls(ref_config, monkeypatch, case, block):
     """One engine call over rows of exponents equals one 1-D call per row;
-    tiny blocks drive the outer split loop and the row chunks."""
+    tiny blocks walk the states and the splits in many passes."""
     if block is not None:
         monkeypatch.setattr(enumeration, "_BLOCK", block)
     if case[0] == "amt10":

@@ -3,6 +3,7 @@ import pytest
 
 import feedsim as fs
 import helpers
+from feedsim import enumeration
 import oracle_bruteforce as oracle
 
 # frozen from tests/oracle_bruteforce.py (run standalone before the build):
@@ -33,9 +34,13 @@ def test_amt10_d_opt_is_the_grid_value(ref_config):
     assert len(diag["evaluations"]) == diag["grid_points"] * 45
 
 
-def test_amt10_evaluations_match_verify_nash_row_by_row(ref_config):
+@pytest.mark.parametrize("block", [None, 64], ids=["default", "block64"])
+def test_amt10_evaluations_match_verify_nash_row_by_row(ref_config, monkeypatch, block):
     """The evaluations read off the search's blocks of rows equal the checks
-    verify_nash computes one exponent at a time, bit for bit."""
+    verify_nash computes one exponent at a time, bit for bit. At 64 cells a
+    block, every amt10 payoff query walks its splits in several passes."""
+    if block is not None:
+        monkeypatch.setattr(enumeration, "_BLOCK", block)
     diag = {}
     fs.find_d_opt(ref_config, diagnostics=diag)
     visited = sorted({e["d"] for e in diag["evaluations"]})
