@@ -16,12 +16,13 @@ standings (`_standings`) are found once for all counts, and a count is one
 groups the rivals by (multiplicity, factor), sums f / (f + M) over every
 split of the matching rivals across those groups, weighted by the number of
 rival sets with that split (M is the split's factor sum), and takes one dot
-product with the table. The table's states and a query's splits are both
-walked in mixed-radix blocks (`_blocks`) of at most `_BLOCK` (class, state)
-or (count, split) cells per numpy pass; every query rebuilds its splits, with
-no cache. A query may carry a leading axis of rows, one per exponent: rivals
-then share a group when their factors agree on every row, and every pass
-covers all rows.
+product with the table. The table's states are walked in mixed-radix blocks
+(`_blocks`) of at most `_BLOCK` (class, state) cells per numpy pass. A query
+lays out the splits of its trailing groups that fit in one pass, on every
+call and with no cache, and walks the splits of the groups before them one
+at a time. A query may carry a leading axis of rows, one per exponent:
+rivals then share a group when their factors agree on every row, and a pass
+takes as many rows as keep it within `_BLOCK` (row, count, split) cells.
 
 Error rates depend on vote counts only. Each multiplicity group's multinomial
 report counts give its vote-count vectors and their probability per truth
@@ -48,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 DEFAULT_BUDGET = 10**9
-_BLOCK = 1 << 16  # (class, state) or (count, split) cells per pass: stays in cache
+_BLOCK = 1 << 16  # (class, state) or (row, count, split) cells per pass: stays in cache
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -242,24 +243,43 @@ class ExactEnumerator:
         if missing:
             self._win_tables(missing)
         table = np.stack([self._win[c] for c in cs])
-        # rivals whose factors agree on every row share a group; a pass walks
-        # the splits of the matching rivals across those groups
+        # rivals whose factors agree on every row share a group
         groups = Counter(zip(self.mults, map(tuple, rf.T.tolist())))
         sizes = np.array(list(groups.values()), dtype=np.int64)
         factor = np.array([f for _, f in groups], dtype=np.float64).reshape(len(sizes), len(rf)).T
         stride = np.array([self._k_stride[m] for m, _ in groups], dtype=np.int64)
         low = sizes if self._all_match else np.zeros_like(sizes)
-        f = fs[:, :, None]
+        radix = (sizes + 1 - low).tolist()
+        # the splits of the groups from `cut` on fit one pass and are laid out
+        # once per call; the groups before `cut` are walked one split at a time
+        cut, width = len(radix), max(1, _BLOCK // len(cs))
+        while cut and math.prod(radix[cut - 1:]) <= width:
+            cut -= 1
+        split = low[cut:, None] + next(_blocks(radix[cut:], width))
+        weight = self._binomials[sizes[cut:, None], split].prod(axis=0)
+        column = stride[cut:] @ split
+        split = split.astype(float)
+        step = max(1, width // split.shape[1])  # rows per pass
+        lead = list(zip(sizes.tolist(), low.tolist(), stride.tolist()))[:cut]
         out = np.zeros(fs.shape)
-        for split in _blocks((sizes + 1 - low).tolist(), max(1, _BLOCK // len(cs))):
-            split += low[:, None]
+        for start in range(0, len(fs), step):
+            rows = slice(start, start + step)
+            f = fs[rows, :, None]
             # einsum, not a matrix product: a row's sums must not depend on
             # how many rows share the call
-            share = f + np.einsum("rg,gs->rs", factor, split.astype(float))[:, None, :]
-            # in place: a fresh temporary this size would be paged in anew
-            np.divide(f, share, out=share)
-            share *= table[:, stride @ split]
-            out += share @ self._binomials[sizes[:, None], split].prod(axis=0)
+            inner = np.einsum("rg,gs->rs", factor[rows, cut:], split)
+            for head in itertools.product(*(range(lo, n + 1) for n, lo, _ in lead)):
+                m, k, sets = np.zeros(len(f)), 0, 1.0
+                # group by group, so again a row's sum does not depend on the rows
+                for g, ((n, _, x), a) in enumerate(zip(lead, head)):
+                    m += factor[rows, g] * a
+                    k += x * a
+                    sets *= self._binomials[n, a]
+                # in place: a fresh temporary this size would be paged in anew
+                share = f + m[:, None, None] + inner[:, None, :]
+                np.divide(f, share, out=share)
+                share *= table[:, k + column]
+                out[rows] += share @ (sets * weight)
         out *= float(total_reward)
         return out[0] if one_row else out
 

@@ -52,8 +52,12 @@ class ExperimentSpec:
 
     def __post_init__(self):
         require_valid(self.config)
-        object.__setattr__(self, "c_values", tuple(int(c) for c in self.c_values))
-        object.__setattr__(self, "d_values", tuple(float(d) for d in self.d_values))
+        for key, convert in (("c_values", int), ("d_values", float)):
+            try:
+                values = tuple(convert(v) for v in getattr(self, key))
+            except (TypeError, ValueError) as exc:
+                raise ConfigFormatError(f"experiment {key} must be a list of numbers") from exc
+            object.__setattr__(self, key, values)
         if not self.c_values or not self.d_values:
             raise ValueError("c_values and d_values must be non-empty")
         stake = self.config.user(self.focal_user).total_stake
@@ -234,26 +238,25 @@ def experiment_from_dict(
 ) -> ExperimentSpec:
     """Build a spec from a config document's `experiment` section plus overrides.
 
-    A section that is not an object, value lists that are not lists of
+    A section that is not an object, value lists that are not sequences of
     numbers, or a sample count or seed that is not an integer raise
     ConfigFormatError naming the field."""
     if not isinstance(section, (Mapping, type(None))):
         raise ConfigFormatError("experiment must be a JSON object")
     section = dict(section or {})
-    for key in ("c_values", "d_values"):
-        if not isinstance(section.get(key, []), list):
-            raise ConfigFormatError(f"experiment {key} must be a list of numbers")
     section.update({k: v for k, v in overrides.items() if v is not None})
+    for key in ("c_values", "d_values"):
+        # the spec would read a string's characters or an object's keys
+        if isinstance(section.get(key), (str, Mapping)):
+            raise ConfigFormatError(f"experiment {key} must be a list of numbers")
     focal = section.get("focal_user", config.users[0].user_id)
     stake = config.user(focal).total_stake
     method = section.get("method", EXACT)
     return ExperimentSpec(
         config=config,
         focal_user=focal,
-        c_values=_field(section, "c_values", range(1, stake + 1), lambda v: tuple(map(int, v)),
-                        "a list of numbers"),
-        d_values=_field(section, "d_values", [1.0], lambda v: tuple(map(float, v)),
-                        "a list of numbers"),
+        c_values=section.get("c_values", range(1, stake + 1)),
+        d_values=section.get("d_values", [1.0]),
         method=MONTE_CARLO if method == "mc" else method,
         samples=_field(section, "samples", DEFAULT_MC_SAMPLES, int, "an integer"),
         seed=_field(section, "seed", DEFAULT_SEED, int, "an integer"),

@@ -287,3 +287,15 @@ def test_estimate_cm_ill_formed_label_map_exits_2(tmp_path, capsys, label_map):
     csv_path.write_text("task_id,annotator_id,label,gold_label\nt1,a,yes,yes\n")
     code = main(["estimate-cm", str(csv_path), "--k", "2", "--label-map", label_map])
     assert_one_line_exit_2(code, capsys, "--label-map")
+
+
+def test_sweep_options_replace_ill_formed_experiment_values(tmp_path):
+    """--c-range and --d-list replace the section's values before any check."""
+    doc = fs.model.config_to_dict(helpers.symmetric_binary_config([2, 1]))
+    doc["experiment"] = {"c_values": 3, "d_values": "x"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(path), "--c-range", "1:2", "--d-list", "1",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 3

@@ -146,6 +146,20 @@ def test_batched_rows_match_one_row_calls(ref_config, monkeypatch, case, block):
         assert got == pytest.approx(engine.payoffs(counts, f, r), abs=1e-15, rel=0)
 
 
+@pytest.mark.parametrize("block", [None, 64])
+def test_sweep_of_many_exponents_matches_one_row_calls(ref_config, monkeypatch, block):
+    """A sweep row's payoffs do not depend on the rows that share its call,
+    also when the rows are taken a few at a time to bound each pass."""
+    if block is not None:
+        monkeypatch.setattr(enumeration, "_BLOCK", block)
+    ds = [round(1.0 + 0.05 * i, 12) for i in range(64)]
+    counts = range(1, ref_config.user(1).total_stake + 1)
+    swept = fs.payoff.concentrated_payoffs(ref_config, 1, ds, counts)
+    assert swept.shape == (len(ds), len(counts))
+    for got, d in zip(swept, ds):
+        assert got.tolist() == fs.payoff.concentrated_payoffs(ref_config, 1, d, counts).tolist()
+
+
 def rival_population(case, ref_config):
     """(confusion, prior, rival oracle counts) of one engine."""
     if case == "amt10":
