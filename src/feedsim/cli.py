@@ -72,14 +72,22 @@ class RunManifest:
 def _parse_c_range(text: str) -> list[int]:
     """Accept 'lo:hi' (inclusive) or a comma list like '1,2,5'."""
     text = text.strip()
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigFormatError(
+            f"--c-range must be 'lo:hi' or a comma list of integers, got {text!r}"
+        ) from exc
 
 
 def _parse_d_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    try:
+        return [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigFormatError(f"--d-list must be a comma list of numbers, got {text!r}") from exc
 
 
 def _parse_label_map(text: str) -> dict[str, int]:

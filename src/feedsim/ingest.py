@@ -11,6 +11,7 @@ distributed oracles, so one shared matrix is the estimand.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
@@ -53,8 +54,8 @@ class IngestSettings:
     def __post_init__(self):
         if not 0.0 < self.min_participation <= 1.0:
             raise ValueError("min_participation must be in (0, 1]")
-        if self.smoothing < 0:
-            raise ValueError("smoothing must be non-negative")
+        if not (math.isfinite(self.smoothing) and self.smoothing >= 0):
+            raise ValueError(f"smoothing must be finite and non-negative, got {self.smoothing!r}")
 
 
 @dataclass(frozen=True)

@@ -296,10 +296,12 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     for u in config.users:
         out.extend(u.violations())
     ids = [u.user_id for u in config.users]
-    if len(set(ids)) != len(ids):
-        out.append(f"user ids are not unique: {sorted(ids)}")
-    elif config.users and sorted(ids) != list(range(1, len(ids) + 1)):
-        out.append(f"user ids must be contiguous 1..{len(ids)}, got {sorted(ids)}")
+    # an id that is not an integer is reported above and may not sort or hash
+    if all(isinstance(i, int) for i in ids):
+        if len(set(ids)) != len(ids):
+            out.append(f"user ids are not unique: {sorted(ids)}")
+        elif config.users and sorted(ids) != list(range(1, len(ids) + 1)):
+            out.append(f"user ids must be contiguous 1..{len(ids)}, got {sorted(ids)}")
     reward = config.total_reward
     if not (isinstance(reward, (int, float)) and math.isfinite(reward) and reward > 0):
         out.append(f"total reward {reward!r} must be a positive finite number")

@@ -4,11 +4,12 @@ Row i of the gap matrix holds mirror - single payoff for every deviation
 (user n running c >= 2 oracles while everyone else runs one) at the grid
 value round(start + i * eps, 12). The answer is the first row whose gaps are
 all <= 0, so it is minimal on the grid. Exactly, rows come in blocks: one
-engine call per user covers all its oracle counts at every exponent of the
-block, and the certificate, evaluations, grid points and reversals are read
-off those rows. Over the term budget each check is two Monte Carlo runs, and
-sampled rows go one at a time, starting from the last violation seen and,
-under `fail_fast`, stopping at the first.
+engine call per distinct stake, largest first, covers all oracle counts of
+every user with that stake at every exponent of the block, and the
+certificate, evaluations, grid points and reversals are read off those rows.
+Over the term budget each check is two Monte Carlo runs, and sampled rows go
+one at a time, starting from the last violation seen and, under `fail_fast`,
+stopping at the first.
 
 A variant accepts the observed per-oracle stake vector in place of the
 (unobservable) per-user staking powers; when every user actually runs one
@@ -174,10 +175,13 @@ class _Gaps:
 
     def exact_rows(self, ds: Sequence[float]):
         """The (single, mirror) payoffs of every deviation at each exponent in
-        `ds` in turn, from one engine call per user.
+        `ds` in turn, from one engine call per distinct stake.
 
-        The block ends before the first exponent at which a stake factor
-        overflows, so only a row the search reaches can raise.
+        Users of equal stake face the same rival multiset, so the lowest-id
+        one answers for all of them. The largest stake goes first: its call
+        builds the win tables of every count the later calls read. The block
+        ends before the first exponent at which a stake factor overflows, so
+        only a row the search reaches can raise.
         """
         stakes = [u.total_stake for u in self.users]
         power = []
@@ -189,19 +193,19 @@ class _Gaps:
                     raise
                 break
         power = np.array(power)
-        tables = []
-        for i, user in enumerate(self.users):
-            if user.total_stake < 2:
-                continue
-            counts = np.arange(1, user.total_stake + 1)
+        tables = {}
+        for stake in sorted({s for s in stakes if s >= 2}, reverse=True):
+            i = stakes.index(stake)
+            counts = np.arange(1, stake + 1)
             # c oracles: c - 1 holding stake 1 and one holding the rest
-            focal = (counts - 1) + power[:, user.total_stake - counts]
+            focal = (counts - 1) + power[:, stake - counts]
             rivals = power[:, [s - 1 for j, s in enumerate(stakes) if j != i]]
-            tables.append(self.engine.payoffs(
+            tables[stake] = self.engine.payoffs(
                 counts, focal, rivals, total_reward=self.config.total_reward
-            ).tolist())
+            ).tolist()
+        per_user = [tables[s] for s in stakes if s >= 2]
         for row in range(len(power)):
-            yield [(payoffs[0], mirror) for payoffs in (t[row] for t in tables)
+            yield [(payoffs[0], mirror) for payoffs in (t[row] for t in per_user)
                    for mirror in payoffs[1:]]
 
     def mc_check(self, user_id: int, c: int, d: float, grid_index: int) -> tuple[float, float]:

@@ -299,3 +299,37 @@ def test_sweep_options_replace_ill_formed_experiment_values(tmp_path):
     assert main(["sweep", str(path), "--c-range", "1:2", "--d-list", "1",
                  "--out", str(out)]) == 0
     assert len(out.read_text().strip().split("\n")) == 3
+
+
+@pytest.mark.parametrize("smoothing", ["nan", "inf"])
+def test_estimate_cm_non_finite_smoothing_exits_1(tmp_path, capsys, smoothing):
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text("task_id,annotator_id,label,gold_label\nt1,a,1,1\nt2,a,2,2\n")
+    out = tmp_path / "fragment.json"
+    code = main(["estimate-cm", str(csv_path), "--k", "2", "--smoothing", smoothing,
+                 "--out", str(out)])
+    assert code == 1
+    assert "smoothing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("user_id", [None, "1", [1]], ids=["null", "string", "list"])
+def test_non_integer_user_id_exits_1(tmp_path, capsys, user_id):
+    doc = fs.model.config_to_dict(helpers.symmetric_binary_config([2, 1]))
+    doc["users"][0]["id"] = user_id
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert f"user id {user_id!r} is not an integer" in capsys.readouterr().out
+    assert main(["solve-d", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: user id {user_id!r} is not an integer\n"
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--c-range", "3:"), ("--c-range", "a,b"), ("--d-list", "x"),
+])
+def test_sweep_ill_formed_option_exits_2(trio_path, tmp_path, capsys, option, value):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", trio_path, option, value, "--out", str(out)])
+    assert_one_line_exit_2(code, capsys, option)
+    assert not out.exists()

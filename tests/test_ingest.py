@@ -95,8 +95,9 @@ def test_filter_is_idempotent():
 def test_settings_validation():
     with pytest.raises(ValueError):
         fs.IngestSettings(min_participation=0.0)
-    with pytest.raises(ValueError):
-        fs.IngestSettings(smoothing=-1.0)
+    for smoothing in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="smoothing must be finite and non-negative"):
+            fs.IngestSettings(smoothing=smoothing)
 
 
 def test_round_trip_recovery_improves_with_data(ref_config):

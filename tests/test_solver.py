@@ -53,6 +53,48 @@ def test_amt10_evaluations_match_verify_nash_row_by_row(ref_config, monkeypatch,
     assert diag["evaluations"] == rebuilt
 
 
+def test_one_engine_call_per_distinct_stake(ref_config, monkeypatch):
+    """amt10's stakes 8,5,3,8,4,7,6,5,7,2 take 7 payoff calls a block, and
+    the first, at stake 8, builds the win tables of every count."""
+    calls = {"payoffs": 0, "_win_tables": 0}
+    for name in calls:
+        method = getattr(enumeration.ExactEnumerator, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(enumeration.ExactEnumerator, name, counted)
+    diag = {}
+    # starting 15 steps below the answer, the search is one 16-row block
+    d_opt, _ = fs.find_d_opt(ref_config, fs.SolverSettings(starting_d=2.13), diagnostics=diag)
+    assert d_opt == 2.28 and diag["grid_points"] == 16
+    assert calls == {"payoffs": 7, "_win_tables": 1}
+
+
+@pytest.mark.parametrize("d", [1.0, 2.27, 2.28])
+def test_users_of_equal_stake_get_equal_checks(ref_config, d):
+    cert = fs.verify_nash(ref_config, d)
+    per_user = {}
+    for check in cert.checks:
+        per_user.setdefault(check.user_id, []).append(
+            (check.oracle_count, check.payoff_single, check.payoff_mirror))
+    for first, twin in [(1, 4), (2, 8), (6, 9)]:
+        assert per_user[first] == per_user[twin]
+
+
+@pytest.mark.parametrize("stakes", [[2, 2, 1, 1], [3, 3, 2, 1, 1], [2, 2, 2, 1]])
+def test_find_d_opt_with_equal_stakes_matches_bruteforce_grid(stakes):
+    cfg = helpers.symmetric_binary_config(stakes)
+    d_opt, _ = fs.find_d_opt(cfg, fs.SolverSettings(epsilon=0.1))
+    want = oracle.d_opt_grid(
+        cfg.confusion.entries.tolist(), cfg.prior.probabilities.tolist(), stakes,
+        eps=0.1, d_max=16.0,
+    )
+    # grid indices, not floats: the oracle accumulates start + i * eps unrounded
+    assert round((d_opt - 1.0) / 0.1) == round((want - 1.0) / 0.1)
+
+
 def test_sampled_partial_rows_report_their_reversals():
     """Under fail_fast a sampled row stops at its first violation; the
     reversals still follow from the evaluations recorded. Few samples and no
