@@ -13,16 +13,18 @@ table that is built once per focal oracle count from the multinomial report
 counts of each group; it depends on neither d nor the factors. A state's
 standings (`_standings`) are found once for all counts, and a count is one
 `bincount`: about 0.23 ms per amt10 count on a 2-core machine. A query
-groups the rivals by (multiplicity, factor), sums f / (f + M) over every
-split of the matching rivals across those groups, weighted by the number of
-rival sets with that split (M is the split's factor sum), and takes one dot
-product with the table. The table's states are walked in mixed-radix blocks
-(`_blocks`) of at most `_BLOCK` (class, state) cells per numpy pass. A query
-lays out the splits of its trailing groups that fit in one pass, on every
-call and with no cache, and walks the splits of the groups before them one
-at a time. A query may carry a leading axis of rows, one per exponent:
-rivals then share a group when their factors agree on every row, and a pass
-takes as many rows as keep it within `_BLOCK` (row, count, split) cells.
+groups the rivals by (multiplicity, factor), in sorted order, sums
+f / (f + M) over every split of the matching rivals across those groups,
+weighted by the number of rival sets with that split (M is the split's
+factor sum), and contracts with the table in a fixed-order `einsum`. The
+table's states are walked in mixed-radix blocks (`_blocks`) of at most
+`_BLOCK` (class, state) cells per numpy pass. A query lays out the splits of
+its trailing groups that fit in `_BLOCK`, with no cache, and walks the
+groups before them one split at a time. A query may carry a leading axis of
+rows, one per exponent: rivals then share a group when their factors agree
+on every row, and a pass takes as many (row, count) pairs as keep it within
+`_BLOCK` cells. A payoff thus depends only on the rival multiset, not on
+rival order or on the counts and rows sharing its call.
 
 Error rates depend on vote counts only. Each multiplicity group's multinomial
 report counts give its vote-count vectors and their probability per truth
@@ -243,8 +245,8 @@ class ExactEnumerator:
         if missing:
             self._win_tables(missing)
         table = np.stack([self._win[c] for c in cs])
-        # rivals whose factors agree on every row share a group
-        groups = Counter(zip(self.mults, map(tuple, rf.T.tolist())))
+        # rivals whose factors agree on every row share a group, in sorted order
+        groups = dict(sorted(Counter(zip(self.mults, map(tuple, rf.T.tolist()))).items()))
         sizes = np.array(list(groups.values()), dtype=np.int64)
         factor = np.array([f for _, f in groups], dtype=np.float64).reshape(len(sizes), len(rf)).T
         stride = np.array([self._k_stride[m] for m, _ in groups], dtype=np.int64)
@@ -252,21 +254,22 @@ class ExactEnumerator:
         radix = (sizes + 1 - low).tolist()
         # the splits of the groups from `cut` on fit one pass and are laid out
         # once per call; the groups before `cut` are walked one split at a time
-        cut, width = len(radix), max(1, _BLOCK // len(cs))
-        while cut and math.prod(radix[cut - 1:]) <= width:
+        cut = len(radix)
+        while cut and math.prod(radix[cut - 1:]) <= _BLOCK:
             cut -= 1
-        split = low[cut:, None] + next(_blocks(radix[cut:], width))
+        split = low[cut:, None] + next(_blocks(radix[cut:], _BLOCK))
         weight = self._binomials[sizes[cut:, None], split].prod(axis=0)
         column = stride[cut:] @ split
         split = split.astype(float)
-        step = max(1, width // split.shape[1])  # rows per pass
+        width = min(len(cs), max(1, _BLOCK // split.shape[1]))  # counts per pass
+        step = max(1, _BLOCK // (width * split.shape[1]))  # rows per pass
         lead = list(zip(sizes.tolist(), low.tolist(), stride.tolist()))[:cut]
         out = np.zeros(fs.shape)
-        for start in range(0, len(fs), step):
-            rows = slice(start, start + step)
-            f = fs[rows, :, None]
-            # einsum, not a matrix product: a row's sums must not depend on
-            # how many rows share the call
+        for start, first in itertools.product(range(0, len(fs), step), range(0, len(cs), width)):
+            rows, cols = slice(start, start + step), slice(first, first + width)
+            f = fs[rows, cols, None]
+            # einsum here and below, not a matrix product: a payoff's sums must
+            # not depend on the rows and counts that share the call
             inner = np.einsum("rg,gs->rs", factor[rows, cut:], split)
             for head in itertools.product(*(range(lo, n + 1) for n, lo, _ in lead)):
                 m, k, sets = np.zeros(len(f)), 0, 1.0
@@ -278,8 +281,8 @@ class ExactEnumerator:
                 # in place: a fresh temporary this size would be paged in anew
                 share = f + m[:, None, None] + inner[:, None, :]
                 np.divide(f, share, out=share)
-                share *= table[:, k + column]
-                out[rows] += share @ (sets * weight)
+                share *= table[cols, k + column]
+                out[rows, cols] += np.einsum("rcs,s->rc", share, sets * weight)
         out *= float(total_reward)
         return out[0] if one_row else out
 

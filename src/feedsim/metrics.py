@@ -60,6 +60,7 @@ class ExperimentSpec:
             object.__setattr__(self, key, values)
         if not self.c_values or not self.d_values:
             raise ValueError("c_values and d_values must be non-empty")
+        _check_focal_user(self.focal_user)
         stake = self.config.user(self.focal_user).total_stake
         for c in self.c_values:
             if not 1 <= c <= stake:
@@ -110,12 +111,10 @@ def error_rate_exact(
     """
     require_valid(config)
     resolved = resolve_strategies(config, strategies)
-    focal = config.users[0].user_id
-    return float(
-        _exact_error_rates(
-            config, focal, [resolved[focal].oracle_count], resolved, budget
-        )[0]
-    )
+    # any user with the most oracles leaves the same rivals: user order cannot matter
+    focal = max(resolved, key=lambda u: resolved[u].oracle_count)
+    counts = [resolved[focal].oracle_count]
+    return float(_exact_error_rates(config, focal, counts, resolved, budget)[0])
 
 
 def error_rate_mc(
@@ -250,6 +249,7 @@ def experiment_from_dict(
         if isinstance(section.get(key), (str, Mapping)):
             raise ConfigFormatError(f"experiment {key} must be a list of numbers")
     focal = section.get("focal_user", config.users[0].user_id)
+    _check_focal_user(focal)
     stake = config.user(focal).total_stake
     method = section.get("method", EXACT)
     return ExperimentSpec(
@@ -261,6 +261,12 @@ def experiment_from_dict(
         samples=_field(section, "samples", DEFAULT_MC_SAMPLES, int, "an integer"),
         seed=_field(section, "seed", DEFAULT_SEED, int, "an integer"),
     )
+
+
+def _check_focal_user(focal) -> None:
+    """Only an int names a user: "1" matches no id, True and 1.0 match user 1."""
+    if not isinstance(focal, int) or isinstance(focal, bool):
+        raise ConfigFormatError(f"experiment focal_user must be an integer, got {focal!r}")
 
 
 def _field(section: Mapping, key: str, default, convert, what: str):

@@ -237,7 +237,7 @@ class SystemConfig:
         for u in self.users:
             if u.user_id == user_id:
                 return u
-        raise ValueError(f"no user with id {user_id}")
+        raise ValueError(f"no user with id {user_id!r}")
 
     def default_strategies(self) -> dict[int, Strategy]:
         """Everyone runs a single oracle carrying their full stake."""

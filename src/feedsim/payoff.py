@@ -19,7 +19,7 @@ import numpy as np
 from . import _montecarlo
 from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
 from .enumeration import DEFAULT_BUDGET, ExactEnumerator
-from .incentive import allocation_factor
+from .incentive import allocation_factor, stake_power
 from .model import Strategy, SystemConfig, require_valid, resolve_strategies
 
 EXACT = "exact"
@@ -144,21 +144,27 @@ def concentrated_payoffs(
     """
     require_valid(config)
     stake = config.user(focal_user).total_stake
-    counts = [int(c) for c in oracle_counts]
+    # the allocation check raises on an infeasible count
+    counts = np.array([optimal_allocation(stake, int(c)).oracle_count for c in oracle_counts])
     ds = [float(x) for x in np.atleast_1d(d)]
     if any(x < 1.0 for x in ds):
         raise ValueError(f"exponent must be >= 1, got {d!r}")
-    allocations = [optimal_allocation(stake, c).allocation for c in counts]
-    rivals = [(u.total_stake,) for u in config.users if u.user_id != focal_user]
+    rivals = [u.total_stake for u in config.users if u.user_id != focal_user]
     engine = single_oracle_rivals(config)
     engine.check_budget(budget)
-    values = engine.payoffs(
-        counts,
-        [[allocation_factor(a, x) for a in allocations] for x in ds],
-        [[allocation_factor(a, x) for a in rivals] for x in ds],
-        total_reward=config.total_reward,
-    )
+    top = max([stake - min(counts) + 1, *rivals])  # the largest stake factor needed
+    power = np.array([[stake_power(s, x) for s in range(1, top + 1)] for x in ds])
+    values = _concentrated(engine, stake, counts, rivals, power, config.total_reward)
     return values if np.ndim(d) else values[0]
+
+
+def _concentrated(engine, stake, counts, rival_stakes, power, total_reward) -> np.ndarray:
+    """The one builder of concentrated payoffs: `(rows, counts)`, against single
+    oracles of `rival_stakes`, from an array `power[r, s - 1] = s ** d_r`."""
+    # c oracles: c - 1 holding stake 1 and one holding the rest
+    focal = (counts - 1) + power[:, stake - counts]
+    rivals = power[:, [s - 1 for s in rival_stakes]]
+    return engine.payoffs(counts, focal, rivals, total_reward=total_reward)
 
 
 def best_response_c(

@@ -7,6 +7,8 @@ all <= 0, so it is minimal on the grid. Exactly, rows come in blocks: one
 engine call per distinct stake, largest first, covers all oracle counts of
 every user with that stake at every exponent of the block, and the
 certificate, evaluations, grid points and reversals are read off those rows.
+With the engine's canonical group order, the lowest-id user of a stake only
+sets the call count: any user of that stake gets the same payoffs.
 Over the term budget each check is two Monte Carlo runs, and sampled rows go
 one at a time, starting from the last violation seen and, under `fail_fast`,
 stopping at the first.
@@ -36,7 +38,7 @@ from .model import (
     UserProfile,
     require_valid,
 )
-from .payoff import PayoffQuery, expected_payoff_mc, single_oracle_rivals
+from .payoff import PayoffQuery, _concentrated, expected_payoff_mc, single_oracle_rivals
 
 _TIGHTNESS_TOL = 1e-12
 _BLOCK_ROWS = 16  # grid rows per engine call on the exact path
@@ -196,13 +198,9 @@ class _Gaps:
         tables = {}
         for stake in sorted({s for s in stakes if s >= 2}, reverse=True):
             i = stakes.index(stake)
-            counts = np.arange(1, stake + 1)
-            # c oracles: c - 1 holding stake 1 and one holding the rest
-            focal = (counts - 1) + power[:, stake - counts]
-            rivals = power[:, [s - 1 for j, s in enumerate(stakes) if j != i]]
-            tables[stake] = self.engine.payoffs(
-                counts, focal, rivals, total_reward=self.config.total_reward
-            ).tolist()
+            tables[stake] = _concentrated(self.engine, stake, np.arange(1, stake + 1),
+                                          stakes[:i] + stakes[i + 1:], power,
+                                          self.config.total_reward).tolist()
         per_user = [tables[s] for s in stakes if s >= 2]
         for row in range(len(power)):
             yield [(payoffs[0], mirror) for payoffs in (t[row] for t in per_user)

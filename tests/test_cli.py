@@ -333,3 +333,15 @@ def test_sweep_ill_formed_option_exits_2(trio_path, tmp_path, capsys, option, va
     code = main(["sweep", trio_path, option, value, "--out", str(out)])
     assert_one_line_exit_2(code, capsys, option)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("focal_user", ["1", True, 1.0], ids=["string", "bool", "float"])
+def test_sweep_non_integer_focal_user_exits_2(tmp_path, capsys, ref_config_path, focal_user):
+    doc = json.loads(ref_config_path.read_text())
+    doc["experiment"]["focal_user"] = focal_user
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", str(path), "--out", str(out)])
+    assert_one_line_exit_2(code, capsys, "experiment focal_user")
+    assert not out.exists()
