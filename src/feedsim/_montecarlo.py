@@ -134,6 +134,11 @@ def mc_rounds(
         yield truth, reports, output
 
 
+def spawn_seed(seed: int, *key: int) -> int:
+    """The seed of the independent stream that `key` names under `seed`."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+
+
 def mean_and_stderr(total: float, total_sq: float, samples: int) -> tuple[float, float]:
     mean = total / samples
     if samples < 2:

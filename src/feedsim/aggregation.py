@@ -2,8 +2,10 @@
 
 All oracles of one user submit the same report, so a vote profile is one
 report per user plus a multiplicity (that user's oracle count). Ties are
-resolved uniformly at random; expectation code consumes the per-class
-win probabilities (`tie_mass`) instead of sampling.
+resolved uniformly at random, and `tie_mass` gives each class's win
+probability. These are the scalar reference semantics: the exact engine
+integrates ties over vote counts itself (`enumeration._standings`) and the
+Monte Carlo kernel samples them (`_montecarlo`).
 """
 
 from __future__ import annotations

@@ -32,12 +32,11 @@ from .model import (
     validate_config,
     write_text_atomic,
 )
-from .payoff import EXACT, MONTE_CARLO, PayoffQuery, expected_payoff_exact, \
+from .payoff import EXACT, METHODS, PayoffQuery, expected_payoff_exact, \
     expected_payoff_mc, optimal_allocation
 from .solver import DMaxExceededError, SolverSettings, find_d_opt, \
     find_d_opt_from_oracle_stakes
 
-_METHODS = {"exact": EXACT, "mc": MONTE_CARLO, "monte_carlo": MONTE_CARLO}
 _THREADS_HELP = "accepted for compatibility; has no effect"
 
 
@@ -118,7 +117,7 @@ def cmd_payoff(args) -> int:
         focal_strategy=optimal_allocation(stake, args.c),
         d=args.d,
     )
-    if _METHODS[args.method] == EXACT:
+    if METHODS[args.method] == EXACT:
         estimate = expected_payoff_exact(query)
     else:
         estimate = expected_payoff_mc(query, samples=args.samples, seed=args.seed)
@@ -166,7 +165,7 @@ def cmd_sweep(args) -> int:
         focal_user=args.user,
         c_values=_parse_c_range(args.c_range) if args.c_range else None,
         d_values=_parse_d_list(args.d_list) if args.d_list else None,
-        method=_METHODS[args.method] if args.method else None,
+        method=args.method,
         samples=args.samples,
         seed=args.seed,
     )
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user", type=int, required=True)
     p.add_argument("--c", type=int, default=1, help="oracle count (concentrated split)")
     p.add_argument("--d", type=float, default=1.0, help="reward exponent")
-    p.add_argument("--method", choices=sorted(_METHODS), default="exact")
+    p.add_argument("--method", choices=sorted(METHODS), default="exact")
     p.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user", type=int, default=None)
     p.add_argument("--c-range", default=None, help="'lo:hi' or comma list")
     p.add_argument("--d-list", default=None, help="comma list of exponents")
-    p.add_argument("--method", choices=sorted(_METHODS), default=None)
+    p.add_argument("--method", choices=sorted(METHODS), default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)

@@ -5,17 +5,22 @@ true class, with ties integrated analytically. It depends on vote counts
 only, never on the reward exponent, so a sweep computes it once per oracle
 count and repeats it across exponents. Sweeps emit fixed-schema CSV rows
 ordered by (d, c), written atomically so a failed run never leaves a partial
-file behind.
+file behind. `ExperimentSpec` is the one checker of a sweep's inputs: the CLI
+and `experiment_from_dict` only gather them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass, fields
+from functools import partial
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import _montecarlo
+from ._montecarlo import spawn_seed
 from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
 from .enumeration import DEFAULT_BUDGET, ExactEnumerator
 from .model import (
@@ -28,7 +33,7 @@ from .model import (
 )
 from .payoff import (
     EXACT,
-    MONTE_CARLO,
+    METHODS,
     PayoffQuery,
     concentrated_payoffs,
     expected_payoff_mc,
@@ -40,38 +45,71 @@ CSV_HEADER = "c,d,expected_payoff,payoff_stderr,error_rate,error_stderr"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One sweep: the focal user's oracle counts crossed with exponents."""
+    """One sweep: the focal user's oracle counts crossed with exponents.
+
+    The one place an experiment is converted and checked, before any work:
+    `focal_user`, `samples`, `seed` and each c must be integers and each d a
+    real number (bools are neither), else ConfigFormatError names the field;
+    a c outside 1..stake, a d that is not finite or below 1, `samples` below
+    1, a negative `seed` or an unknown method raise ValueError. `c_values`
+    defaults to every count 1..stake and `method` accepts any `METHODS`
+    alias.
+    """
 
     config: SystemConfig
     focal_user: int
-    c_values: tuple[int, ...]
-    d_values: tuple[float, ...]
+    c_values: Sequence[int] | None = None
+    d_values: Sequence[float] = (1.0,)
     method: str = EXACT
     samples: int = DEFAULT_MC_SAMPLES
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        put = partial(object.__setattr__, self)
+        put("focal_user", _number(self.focal_user, "focal_user", Integral))
+        if self.c_values is not None:
+            put("c_values", _numbers(self.c_values, "c_values", Integral))
+        put("d_values", _numbers(self.d_values, "d_values", Real))
+        put("samples", _number(self.samples, "samples", Integral))
+        put("seed", _number(self.seed, "seed", Integral))
         require_valid(self.config)
-        for key, convert in (("c_values", int), ("d_values", float)):
-            try:
-                values = tuple(convert(v) for v in getattr(self, key))
-            except (TypeError, ValueError) as exc:
-                raise ConfigFormatError(f"experiment {key} must be a list of numbers") from exc
-            object.__setattr__(self, key, values)
+        stake = self.config.user(self.focal_user).total_stake
+        if self.c_values is None:
+            put("c_values", tuple(range(1, stake + 1)))
+        try:
+            put("method", METHODS[self.method])
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown method {self.method!r}") from None
         if not self.c_values or not self.d_values:
             raise ValueError("c_values and d_values must be non-empty")
-        _check_focal_user(self.focal_user)
-        stake = self.config.user(self.focal_user).total_stake
         for c in self.c_values:
             if not 1 <= c <= stake:
-                raise ValueError(
-                    f"c={c} infeasible for user {self.focal_user} with stake {stake}"
-                )
+                raise ValueError(f"c={c} infeasible for user {self.focal_user} with stake {stake}")
         for d in self.d_values:
-            if d < 1.0:
-                raise ValueError(f"exponent must be >= 1, got {d!r}")
-        if self.method not in (EXACT, MONTE_CARLO):
-            raise ValueError(f"unknown method {self.method!r}")
+            if not (math.isfinite(d) and d >= 1.0):
+                raise ValueError(f"exponent d must be finite and >= 1, got {d!r}")
+        if self.samples < 1:
+            raise ValueError(f"experiment samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"experiment seed must be >= 0, got {self.seed}")
+
+
+def _number(value, field: str, kind):
+    """`value` as an int for `kind` Integral, or as a float for Real; any
+    other kind, bool included, raises ConfigFormatError naming `field`."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return int(value) if kind is Integral else float(value)
+    what = "an integer" if kind is Integral else "a real number"
+    raise ConfigFormatError(f"experiment {field} must be {what}, got {value!r}")
+
+
+def _numbers(values, field: str, kind) -> tuple:
+    """Each of `values` through `_number`; a value that is not a list raises
+    ConfigFormatError naming `field`."""
+    try:
+        return tuple(_number(v, field + " entry", kind) for v in values)
+    except TypeError:
+        raise ConfigFormatError(f"experiment {field} must be a list, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -146,63 +184,29 @@ def run_experiment(
     are computed once per c and reused across d. Deterministic for a fixed
     seed.
     """
-    config = spec.config
-    stake = config.user(spec.focal_user).total_stake
-    counts = list(spec.c_values)
+    config, focal, counts = spec.config, spec.focal_user, spec.c_values
     if spec.method == EXACT:
         # one engine query answers every d of the sweep
-        values = concentrated_payoffs(config, spec.focal_user, spec.d_values, counts, budget)
-        error_by_c = dict(zip(counts, _exact_error_rates(
-            config, spec.focal_user, counts, config.default_strategies(), budget
-        )))
-        error_stderr_by_c = {c: 0.0 for c in counts}
-        payoff_cell = {
-            (c, d): (value, 0.0)
-            for d, row in zip(spec.d_values, values.tolist())
-            for c, value in zip(counts, row)
-        }
+        values = concentrated_payoffs(config, focal, spec.d_values, counts, budget)
+        payoff = {(c, d): (value, 0.0) for d, row in zip(spec.d_values, values.tolist())
+                  for c, value in zip(counts, row)}
+        rates = _exact_error_rates(config, focal, counts, config.default_strategies(), budget)
+        error = {c: (rate, 0.0) for c, rate in zip(counts, rates.tolist())}
     else:
-        error_by_c = {}
-        error_stderr_by_c = {}
-        for ci, c in enumerate(counts):
-            err_seed = np.random.SeedSequence(
-                spec.seed, spawn_key=(0, ci)
-            ).generate_state(1)[0]
-            err, err_se = error_rate_mc(
-                config,
-                {spec.focal_user: optimal_allocation(stake, c)},
-                samples=spec.samples,
-                seed=int(err_seed),
-            )
-            error_by_c[c] = err
-            error_stderr_by_c[c] = err_se
-        payoff_cell = {}
-        for di, d in enumerate(spec.d_values):
-            for ci, c in enumerate(counts):
-                pay_seed = np.random.SeedSequence(
-                    spec.seed, spawn_key=(1, di, ci)
-                ).generate_state(1)[0]
-                est = expected_payoff_mc(
-                    PayoffQuery(config, spec.focal_user, optimal_allocation(stake, c), d),
-                    samples=spec.samples,
-                    seed=int(pay_seed),
-                )
-                payoff_cell[(c, d)] = (est.value, est.std_error)
-    rows = []
-    for d in spec.d_values:
-        for c in counts:
-            value, stderr = payoff_cell[(c, d)]
-            rows.append(
-                SweepRow(
-                    c=c,
-                    d=d,
-                    expected_payoff=value,
-                    payoff_stderr=stderr,
-                    error_rate=float(error_by_c[c]),
-                    error_stderr=float(error_stderr_by_c[c]),
-                )
-            )
-    return rows
+        stake = config.user(focal).total_stake
+        error = {c: error_rate_mc(config, {focal: optimal_allocation(stake, c)},
+                                  samples=spec.samples, seed=spawn_seed(spec.seed, 0, ci))
+                 for ci, c in enumerate(counts)}
+
+        def sampled(c, d, key):
+            estimate = expected_payoff_mc(
+                PayoffQuery(config, focal, optimal_allocation(stake, c), d),
+                samples=spec.samples, seed=spawn_seed(spec.seed, *key))
+            return estimate.value, estimate.std_error
+
+        payoff = {(c, d): sampled(c, d, (1, di, ci))
+                  for di, d in enumerate(spec.d_values) for ci, c in enumerate(counts)}
+    return [SweepRow(c, d, *payoff[c, d], *error[c]) for d in spec.d_values for c in counts]
 
 
 def _format(value: float) -> str:
@@ -212,18 +216,7 @@ def _format(value: float) -> str:
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.c),
-                    _format(r.d),
-                    _format(r.expected_payoff),
-                    _format(r.payoff_stderr),
-                    _format(r.error_rate),
-                    _format(r.error_stderr),
-                ]
-            )
-        )
+        lines.append(",".join([str(r.c), *map(_format, astuple(r)[1:])]))
     return "\n".join(lines) + "\n"
 
 
@@ -235,44 +228,12 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
 def experiment_from_dict(
     config: SystemConfig, section: Mapping | None, **overrides
 ) -> ExperimentSpec:
-    """Build a spec from a config document's `experiment` section plus overrides.
-
-    A section that is not an object, value lists that are not sequences of
-    numbers, or a sample count or seed that is not an integer raise
-    ConfigFormatError naming the field."""
+    """Build a spec from a config document's `experiment` section plus the
+    overrides that are not None; the spec checks every value. A section that
+    is not an object raises ConfigFormatError."""
     if not isinstance(section, (Mapping, type(None))):
         raise ConfigFormatError("experiment must be a JSON object")
-    section = dict(section or {})
-    section.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("c_values", "d_values"):
-        # the spec would read a string's characters or an object's keys
-        if isinstance(section.get(key), (str, Mapping)):
-            raise ConfigFormatError(f"experiment {key} must be a list of numbers")
-    focal = section.get("focal_user", config.users[0].user_id)
-    _check_focal_user(focal)
-    stake = config.user(focal).total_stake
-    method = section.get("method", EXACT)
-    return ExperimentSpec(
-        config=config,
-        focal_user=focal,
-        c_values=section.get("c_values", range(1, stake + 1)),
-        d_values=section.get("d_values", [1.0]),
-        method=MONTE_CARLO if method == "mc" else method,
-        samples=_field(section, "samples", DEFAULT_MC_SAMPLES, int, "an integer"),
-        seed=_field(section, "seed", DEFAULT_SEED, int, "an integer"),
-    )
-
-
-def _check_focal_user(focal) -> None:
-    """Only an int names a user: "1" matches no id, True and 1.0 match user 1."""
-    if not isinstance(focal, int) or isinstance(focal, bool):
-        raise ConfigFormatError(f"experiment focal_user must be an integer, got {focal!r}")
-
-
-def _field(section: Mapping, key: str, default, convert, what: str):
-    """`convert` of the field's value; a value it cannot take raises
-    ConfigFormatError."""
-    try:
-        return convert(section.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigFormatError(f"experiment {key} must be {what}") from exc
+    given = {"focal_user": config.users[0].user_id, **(section or {}),
+             **{k: v for k, v in overrides.items() if v is not None}}
+    names = {f.name for f in fields(ExperimentSpec)} - {"config"}
+    return ExperimentSpec(config, **{k: v for k, v in given.items() if k in names})

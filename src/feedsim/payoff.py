@@ -24,6 +24,7 @@ from .model import Strategy, SystemConfig, require_valid, resolve_strategies
 
 EXACT = "exact"
 MONTE_CARLO = "monte_carlo"
+METHODS = {"exact": EXACT, "mc": MONTE_CARLO, "monte_carlo": MONTE_CARLO}  # alias -> method
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,8 @@ def expected_payoff_mc(
     seed: int = DEFAULT_SEED,
 ) -> PayoffEstimate:
     """Unbiased sampled estimate of the same expectation, with standard error."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     strategies = query.resolved_strategies()
     ordered = [u.user_id for u in query.config.users]
     mults = [strategies[m].oracle_count for m in ordered]
@@ -146,14 +149,13 @@ def concentrated_payoffs(
     stake = config.user(focal_user).total_stake
     # the allocation check raises on an infeasible count
     counts = np.array([optimal_allocation(stake, int(c)).oracle_count for c in oracle_counts])
-    ds = [float(x) for x in np.atleast_1d(d)]
-    if any(x < 1.0 for x in ds):
-        raise ValueError(f"exponent must be >= 1, got {d!r}")
     rivals = [u.total_stake for u in config.users if u.user_id != focal_user]
+    top = max([stake - min(counts) + 1, *rivals])  # the largest stake factor needed
+    # stake_power checks each exponent, before the engine is built
+    power = np.array([[stake_power(s, float(x)) for s in range(1, top + 1)]
+                      for x in np.atleast_1d(d)])
     engine = single_oracle_rivals(config)
     engine.check_budget(budget)
-    top = max([stake - min(counts) + 1, *rivals])  # the largest stake factor needed
-    power = np.array([[stake_power(s, x) for s in range(1, top + 1)] for x in ds])
     values = _concentrated(engine, stake, counts, rivals, power, config.total_reward)
     return values if np.ndim(d) else values[0]
 

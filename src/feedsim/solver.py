@@ -27,6 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._montecarlo import spawn_seed
 from .constants import DEFAULT_SEED
 from .enumeration import DEFAULT_BUDGET
 from .incentive import stake_power
@@ -213,14 +214,11 @@ class _Gaps:
         for side, strategy in enumerate(
             (Strategy.single(stake), Strategy.concentrated(stake, c))
         ):
-            seed = np.random.SeedSequence(
-                self.settings.seed, spawn_key=(grid_index, user_id, c, side)
-            ).generate_state(1)[0]
             results.append(
                 expected_payoff_mc(
                     PayoffQuery(self.config, user_id, strategy, d),
                     samples=self.settings.mc_samples,
-                    seed=int(seed),
+                    seed=spawn_seed(self.settings.seed, grid_index, user_id, c, side),
                 )
             )
         single, mirror = results

@@ -257,6 +257,15 @@ def assert_one_line_exit_2(code, capsys, field):
     ({"d_values": [[2.28]]}, "d_values"),
     ({"samples": None}, "samples"),
     ({"seed": None}, "seed"),
+    ({"samples": 2.7}, "samples"),
+    ({"samples": "1000"}, "samples"),
+    ({"samples": True}, "samples"),
+    ({"seed": True}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"c_values": [1.5, 2]}, "c_values"),
+    ({"c_values": ["3"]}, "c_values"),
+    ({"c_values": [True]}, "c_values"),
+    ({"d_values": ["2.28"]}, "d_values"),
 ])
 def test_sweep_ill_formed_experiment_exits_2(tmp_path, capsys, ref_config_path,
                                              experiment, field):
@@ -345,3 +354,23 @@ def test_sweep_non_integer_focal_user_exits_2(tmp_path, capsys, ref_config_path,
     code = main(["sweep", str(path), "--out", str(out)])
     assert_one_line_exit_2(code, capsys, "experiment focal_user")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,named", [
+    (["sweep", "--method", "mc", "--d-list", "1,nan"], "exponent"),
+    (["sweep", "--method", "mc", "--d-list", "1,1e999"], "exponent"),
+    (["sweep", "--method", "mc", "--seed", "-3"], "seed"),
+    (["payoff", "--user", "1", "--method", "mc", "--seed", "-1"], "seed"),
+], ids=["nan-d", "inf-d", "sweep-seed", "payoff-seed"])
+def test_out_of_range_value_exits_1_before_sampling(tmp_path, capsys, monkeypatch,
+                                                    ref_config_path, command, named):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(fs._montecarlo, "mc_rounds", no_sampling)
+    out = ["--out", str(tmp_path / "sweep.csv")] if command[0] == "sweep" else []
+    code = main([command[0], str(ref_config_path), *command[1:], *out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert list(tmp_path.iterdir()) == []

@@ -266,3 +266,16 @@ def test_experiment_from_dict_overrides(ref_config):
         ref_config, {"c_values": [1], "method": "mc", "samples": 10}
     )
     assert aliased.method == "monte_carlo"
+
+
+def test_spec_accepts_numpy_scalars(ref_config):
+    """numpy integers and floats are integers and real numbers like any other."""
+    plain = fs.ExperimentSpec(ref_config, 1, range(1, 9), (1.0, 2.28))
+    scalars = fs.ExperimentSpec(ref_config, np.int64(1), np.arange(1, 9),
+                                (np.float64(1.0), np.float64(2.28)))
+    assert fs.run_experiment(scalars) == fs.run_experiment(plain)
+    cfg = helpers.symmetric_binary_config([2, 1, 1])
+    sampled = [fs.run_experiment(fs.ExperimentSpec(
+        cfg, focal, (1, 2), (1.5,), method="mc", samples=samples, seed=seed))
+        for focal, samples, seed in [(1, 300, 7), (np.int32(1), np.int64(300), np.uint8(7))]]
+    assert sampled[0] == sampled[1]
