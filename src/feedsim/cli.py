@@ -68,13 +68,13 @@ class RunManifest:
         write_text_atomic(sidecar, json.dumps(doc, indent=2) + "\n")
 
 
-def _parse_c_range(text: str) -> list[int]:
-    """Accept 'lo:hi' (inclusive) or a comma list like '1,2,5'."""
+def _parse_c_range(text: str) -> range | list[int]:
+    """Accept 'lo:hi' (inclusive) as a range, or a comma list like '1,2,5'."""
     text = text.strip()
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigFormatError(

@@ -36,8 +36,9 @@ parts, and a count picks among them in one pass: amt10's c = 1..8 take
 about 0.45 ms, or 50 ms with every user mirroring at full stake (149 735
 vectors).
 
-`term_count` stays the size of the joint report space, K^(N-1) * K^2, so the
-budget sends the same networks to the Monte Carlo path as before.
+A query is priced in the float64 cells it would build, from the group sizes
+alone, and refused over the budget before anything is allocated: amt10's
+largest solver call costs 6.9e4 cells, 12 to 40 users at K = 5 1.3e5 to 1.2e8.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ _BLOCK = 1 << 16  # (class, state) or (row, count, split) cells per pass: stays 
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Exact enumeration would exceed the term budget; use the Monte Carlo path."""
+    """An exact query would build more cells than the budget; use the Monte Carlo path."""
 
 
 def _compositions(n: int, k: int) -> np.ndarray:
@@ -95,6 +96,7 @@ class ExactEnumerator:
         confusion: np.ndarray,
         prior: np.ndarray,
         rival_multiplicities: Sequence[int],
+        budget: int = DEFAULT_BUDGET,
     ):
         self.confusion = np.ascontiguousarray(confusion, dtype=np.float64)
         self.prior = np.ascontiguousarray(prior, dtype=np.float64)
@@ -112,17 +114,14 @@ class ExactEnumerator:
         truth_weight = self.prior[:, None] * self.confusion
         self._all_match = bool(np.all((self.confusion == 1.0) | (truth_weight == 0.0)))
         self._win: dict[int, np.ndarray] = {}
+        self.budget = budget
 
-    @property
-    def term_count(self) -> int:
-        """Joint report space size including truth and focal-report dimensions."""
-        return self.num_classes ** (self.num_rivals + 2)
-
-    def check_budget(self, budget: int = DEFAULT_BUDGET) -> None:
-        if self.term_count > budget:
+    def _afford(self, cells: int) -> None:
+        """Refuse a query that would build more than `budget` float64 cells."""
+        if cells > self.budget:
             raise EnumerationBudgetError(
-                f"exact enumeration needs {self.term_count} terms, over the "
-                f"budget of {budget}; use the Monte Carlo estimator instead"
+                f"exact enumeration needs {cells} cells, over the budget of "
+                f"{self.budget}; use the Monte Carlo estimator instead"
             )
 
     # -- tables -------------------------------------------------------------
@@ -193,6 +192,15 @@ class ExactEnumerator:
         vote count, for which numpy's stable sort is a radix sort.
         """
         k = self.num_classes
+        # a fold's vectors so far are bounded by their product and by the
+        # vectors of T votes; each meets every composition of the group
+        cells, vectors, total = 0, 1, 0
+        for m, n in zip(self.group_mults, self.group_sizes):
+            comps = math.comb(n + k - 1, k - 1)
+            cells += vectors * comps * k
+            total += m * n
+            vectors = min(vectors * comps, math.comb(total + k - 1, k - 1))
+        self._afford(cells)
         comps, group_probs, _ = self._groups
         dtype = np.min_scalar_type(sum(self.mults))
         votes = np.zeros((1, k), dtype=dtype)
@@ -241,10 +249,6 @@ class ExactEnumerator:
             raise ValueError("focal oracle count must be >= 1")
         if rf.shape[1] != self.num_rivals:
             raise ValueError(f"expected {self.num_rivals} rival factors")
-        missing = sorted({c for c in cs if c not in self._win})
-        if missing:
-            self._win_tables(missing)
-        table = np.stack([self._win[c] for c in cs])
         # rivals whose factors agree on every row share a group, in sorted order
         groups = dict(sorted(Counter(zip(self.mults, map(tuple, rf.T.tolist()))).items()))
         sizes = np.array(list(groups.values()), dtype=np.int64)
@@ -252,6 +256,14 @@ class ExactEnumerator:
         stride = np.array([self._k_stride[m] for m, _ in groups], dtype=np.int64)
         low = sizes if self._all_match else np.zeros_like(sizes)
         radix = (sizes + 1 - low).tolist()
+        missing = sorted({c for c in cs if c not in self._win})
+        k, new = self.num_classes, len(missing)
+        states = math.prod(math.comb(n + k - 1, k - 1) for n in self.group_sizes)
+        tables = states * k * (len(self.group_sizes) + new) + self._k_size * new if new else 0
+        self._afford(tables + math.prod(radix) * len(cs) * len(fs))
+        if missing:
+            self._win_tables(missing)
+        table = np.stack([self._win[c] for c in cs])
         # the splits of the groups from `cut` on fit one pass and are laid out
         # once per call; the groups before `cut` are walked one split at a time
         cut = len(radix)

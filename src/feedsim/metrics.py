@@ -22,7 +22,7 @@ import numpy as np
 from . import _montecarlo
 from ._montecarlo import spawn_seed
 from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
-from .enumeration import DEFAULT_BUDGET, ExactEnumerator
+from .enumeration import ExactEnumerator
 from .model import (
     ConfigFormatError,
     Strategy,
@@ -33,11 +33,11 @@ from .model import (
 )
 from .payoff import (
     EXACT,
-    METHODS,
     PayoffQuery,
     concentrated_payoffs,
     expected_payoff_mc,
     optimal_allocation,
+    resolve_method,
 )
 
 CSV_HEADER = "c,d,expected_payoff,payoff_stderr,error_rate,error_stderr"
@@ -53,7 +53,8 @@ class ExperimentSpec:
     a c outside 1..stake, a d that is not finite or below 1, `samples` below
     1, a negative `seed` or an unknown method raise ValueError. `c_values`
     defaults to every count 1..stake and `method` accepts any `METHODS`
-    alias.
+    alias. A `range` of counts is checked before it is listed, so a range far
+    wider than the stake stops at its first infeasible count.
     """
 
     config: SystemConfig
@@ -67,7 +68,7 @@ class ExperimentSpec:
     def __post_init__(self):
         put = partial(object.__setattr__, self)
         put("focal_user", _number(self.focal_user, "focal_user", Integral))
-        if self.c_values is not None:
+        if not isinstance(self.c_values, (range, type(None))):
             put("c_values", _numbers(self.c_values, "c_values", Integral))
         put("d_values", _numbers(self.d_values, "d_values", Real))
         put("samples", _number(self.samples, "samples", Integral))
@@ -75,16 +76,14 @@ class ExperimentSpec:
         require_valid(self.config)
         stake = self.config.user(self.focal_user).total_stake
         if self.c_values is None:
-            put("c_values", tuple(range(1, stake + 1)))
-        try:
-            put("method", METHODS[self.method])
-        except (KeyError, TypeError):
-            raise ValueError(f"unknown method {self.method!r}") from None
+            put("c_values", range(1, stake + 1))
+        put("method", resolve_method(self.method))
         if not self.c_values or not self.d_values:
             raise ValueError("c_values and d_values must be non-empty")
         for c in self.c_values:
             if not 1 <= c <= stake:
                 raise ValueError(f"c={c} infeasible for user {self.focal_user} with stake {stake}")
+        put("c_values", tuple(self.c_values))
         for d in self.d_values:
             if not (math.isfinite(d) and d >= 1.0):
                 raise ValueError(f"exponent d must be finite and >= 1, got {d!r}")
@@ -127,21 +126,16 @@ def _exact_error_rates(
     focal_user: int,
     focal_counts: Sequence[int],
     strategies: Mapping[int, Strategy],
-    budget: int,
 ) -> np.ndarray:
     """Error rate for each focal oracle count from one engine."""
     rival_mults = [s.oracle_count for m, s in strategies.items() if m != focal_user]
-    engine = ExactEnumerator(
-        config.confusion.entries, config.prior.probabilities, rival_mults
-    )
-    engine.check_budget(budget)
-    return engine.error_rates(focal_counts)
+    return ExactEnumerator(config.confusion.entries, config.prior.probabilities,
+                           rival_mults).error_rates(focal_counts)
 
 
 def error_rate_exact(
     config: SystemConfig,
     strategies: Mapping[int, Strategy] | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Exact probability that the decided output differs from the truth.
 
@@ -152,7 +146,7 @@ def error_rate_exact(
     # any user with the most oracles leaves the same rivals: user order cannot matter
     focal = max(resolved, key=lambda u: resolved[u].oracle_count)
     counts = [resolved[focal].oracle_count]
-    return float(_exact_error_rates(config, focal, counts, resolved, budget)[0])
+    return float(_exact_error_rates(config, focal, counts, resolved)[0])
 
 
 def error_rate_mc(
@@ -173,10 +167,7 @@ def error_rate_mc(
     )
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    budget: int = DEFAULT_BUDGET,
-) -> list[SweepRow]:
+def run_experiment(spec: ExperimentSpec) -> list[SweepRow]:
     """Evaluate payoff and error rate over the (c, d) grid of a spec.
 
     The focal user plays the concentrated allocation at each c; everyone else
@@ -187,10 +178,10 @@ def run_experiment(
     config, focal, counts = spec.config, spec.focal_user, spec.c_values
     if spec.method == EXACT:
         # one engine query answers every d of the sweep
-        values = concentrated_payoffs(config, focal, spec.d_values, counts, budget)
+        values = concentrated_payoffs(config, focal, spec.d_values, counts)
         payoff = {(c, d): (value, 0.0) for d, row in zip(spec.d_values, values.tolist())
                   for c, value in zip(counts, row)}
-        rates = _exact_error_rates(config, focal, counts, config.default_strategies(), budget)
+        rates = _exact_error_rates(config, focal, counts, config.default_strategies())
         error = {c: (rate, 0.0) for c, rate in zip(counts, rates.tolist())}
     else:
         stake = config.user(focal).total_stake

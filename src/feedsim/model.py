@@ -43,6 +43,18 @@ class InvalidConfigError(ValueError):
         self.report = report
 
 
+def _require_numbers(value, field: str) -> None:
+    """Raise ConfigFormatError naming `field` unless `value` is a JSON number
+    or nested lists of them; a bool, string or null is not a number."""
+    stack = [value]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):
+            stack.extend(entry)
+        elif isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise ConfigFormatError(f"{field} must hold only numbers, got {entry!r}")
+
+
 def _as_float_vector(values, name: str) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=np.float64)
@@ -384,6 +396,7 @@ def config_from_dict(doc: Mapping, renormalize: bool = False) -> SystemConfig:
         raise ConfigFormatError(f"config is missing required key {exc}") from exc
     if not isinstance(num_classes, int) or isinstance(num_classes, bool):
         raise ConfigFormatError("num_classes must be an integer")
+    _require_numbers(confusion_rows, "confusion")
     try:
         confusion = ConfusionMatrix(confusion_rows)
     except (TypeError, ValueError) as exc:
@@ -401,6 +414,7 @@ def config_from_dict(doc: Mapping, renormalize: bool = False) -> SystemConfig:
         users.append(UserProfile(user_id=entry["id"], total_stake=entry["stake"]))
     prior = None
     if doc.get("prior") is not None:
+        _require_numbers(doc["prior"], "prior")
         prior = ClassPrior(_as_float_vector(doc["prior"], "prior"))
     total_reward = doc.get("total_reward", 1.0)
     if not isinstance(total_reward, (int, float)) or isinstance(total_reward, bool):

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _montecarlo
+from ._montecarlo import spawn_seed
 from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
 from .enumeration import DEFAULT_BUDGET, ExactEnumerator
 from .incentive import allocation_factor, stake_power
@@ -25,6 +26,14 @@ from .model import Strategy, SystemConfig, require_valid, resolve_strategies
 EXACT = "exact"
 MONTE_CARLO = "monte_carlo"
 METHODS = {"exact": EXACT, "mc": MONTE_CARLO, "monte_carlo": MONTE_CARLO}  # alias -> method
+
+
+def resolve_method(alias) -> str:
+    """The method that a `METHODS` alias names; anything else raises ValueError."""
+    try:
+        return METHODS[alias]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown method {alias!r}") from None
 
 
 @dataclass(frozen=True)
@@ -74,11 +83,8 @@ def optimal_allocation(total_stake: int, oracle_count: int) -> Strategy:
     return Strategy.concentrated(total_stake, oracle_count)
 
 
-def expected_payoff_exact(
-    query: PayoffQuery,
-    budget: int = DEFAULT_BUDGET,
-) -> PayoffEstimate:
-    """Exact expected payoff (refuses networks over the term budget)."""
+def expected_payoff_exact(query: PayoffQuery) -> PayoffEstimate:
+    """Exact expected payoff; EnumerationBudgetError if over the engine's budget."""
     strategies = query.resolved_strategies()
     rivals = [strategies[u.user_id] for u in query.config.users if u.user_id != query.focal_user]
     engine = ExactEnumerator(
@@ -86,7 +92,6 @@ def expected_payoff_exact(
         query.config.prior.probabilities,
         [s.oracle_count for s in rivals],
     )
-    engine.check_budget(budget)
     focal = strategies[query.focal_user]
     value = engine.payoffs(
         [focal.oracle_count],
@@ -124,12 +129,13 @@ def expected_payoff_mc(
     )
 
 
-def single_oracle_rivals(config: SystemConfig) -> ExactEnumerator:
+def single_oracle_rivals(config: SystemConfig, budget: int = DEFAULT_BUDGET) -> ExactEnumerator:
     """The engine for any focal user whose rivals each run one oracle."""
     return ExactEnumerator(
         config.confusion.entries,
         config.prior.probabilities,
         (1,) * (config.num_users - 1),
+        budget,
     )
 
 
@@ -138,7 +144,6 @@ def concentrated_payoffs(
     focal_user: int,
     d: float | Sequence[float],
     oracle_counts,
-    budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
     """Exact payoffs for several concentrated oracle counts in one engine query.
 
@@ -154,9 +159,8 @@ def concentrated_payoffs(
     # stake_power checks each exponent, before the engine is built
     power = np.array([[stake_power(s, float(x)) for s in range(1, top + 1)]
                       for x in np.atleast_1d(d)])
-    engine = single_oracle_rivals(config)
-    engine.check_budget(budget)
-    values = _concentrated(engine, stake, counts, rivals, power, config.total_reward)
+    values = _concentrated(single_oracle_rivals(config), stake, counts, rivals, power,
+                           config.total_reward)
     return values if np.ndim(d) else values[0]
 
 
@@ -176,34 +180,19 @@ def best_response_c(
     method: str = EXACT,
     samples: int = DEFAULT_MC_SAMPLES,
     seed: int = DEFAULT_SEED,
-    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Oracle count maximizing the focal user's expected payoff.
 
     Evaluates every feasible concentrated strategy with rivals at single
-    full-stake oracles; ties break toward fewer oracles.
+    full-stake oracles; ties break toward fewer oracles. `method` accepts any
+    `METHODS` alias; count c samples the stream `spawn_seed(seed, c)`.
     """
     stake = config.user(focal_user).total_stake
     counts = list(range(1, stake + 1))
-    if method == EXACT:
-        values = concentrated_payoffs(config, focal_user, d, counts, budget=budget)
-    elif method == MONTE_CARLO:
-        seeds = np.random.SeedSequence(seed).generate_state(len(counts))
-        values = np.array(
-            [
-                expected_payoff_mc(
-                    PayoffQuery(
-                        config=config,
-                        focal_user=focal_user,
-                        focal_strategy=optimal_allocation(stake, c),
-                        d=d,
-                    ),
-                    samples=samples,
-                    seed=int(s),
-                ).value
-                for c, s in zip(counts, seeds)
-            ]
-        )
+    if resolve_method(method) == EXACT:
+        values = concentrated_payoffs(config, focal_user, d, counts)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        values = [expected_payoff_mc(
+            PayoffQuery(config, focal_user, optimal_allocation(stake, c), d),
+            samples=samples, seed=spawn_seed(seed, c)).value for c in counts]
     return counts[int(np.argmax(values))]  # argmax takes the first (smallest c) on ties

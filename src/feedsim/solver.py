@@ -9,9 +9,9 @@ every user with that stake at every exponent of the block, and the
 certificate, evaluations, grid points and reversals are read off those rows.
 With the engine's canonical group order, the lowest-id user of a stake only
 sets the call count: any user of that stake gets the same payoffs.
-Over the term budget each check is two Monte Carlo runs, and sampled rows go
-one at a time, starting from the last violation seen and, under `fail_fast`,
-stopping at the first.
+Once the engine refuses a block as over its cell budget, each check is two
+Monte Carlo runs, and sampled rows go one at a time, starting from the last
+violation seen and, under `fail_fast`, stopping at the first.
 
 A variant accepts the observed per-oracle stake vector in place of the
 (unobservable) per-user staking powers; when every user actually runs one
@@ -29,7 +29,7 @@ import numpy as np
 
 from ._montecarlo import spawn_seed
 from .constants import DEFAULT_SEED
-from .enumeration import DEFAULT_BUDGET
+from .enumeration import DEFAULT_BUDGET, EnumerationBudgetError
 from .incentive import stake_power
 from .model import (
     ClassPrior,
@@ -51,8 +51,8 @@ _MIN_EPSILON = 10.0 ** -_GRID_DECIMALS
 class SolverSettings:
     """Grid parameters and evaluation policy for the exponent search.
 
-    `fail_fast` is ignored when the network fits the enumeration budget:
-    exact rows are always complete.
+    `fail_fast` is ignored when the exact engine accepts the search within
+    `enumeration_budget` float64 cells: exact rows are always complete.
     """
 
     epsilon: float = 0.01
@@ -168,8 +168,7 @@ class _Gaps:
         self.deviations = [
             (u.user_id, c) for u in self.users for c in range(2, u.total_stake + 1)
         ]
-        self.engine = single_oracle_rivals(config)
-        self.exact = self.engine.term_count <= settings.enumeration_budget
+        self.engine = single_oracle_rivals(config, settings.enumeration_budget)
 
     def grid_d(self, index: int) -> float | None:
         """Row `index`'s exponent, or None past d_max."""
@@ -203,9 +202,8 @@ class _Gaps:
                                           stakes[:i] + stakes[i + 1:], power,
                                           self.config.total_reward).tolist()
         per_user = [tables[s] for s in stakes if s >= 2]
-        for row in range(len(power)):
-            yield [(payoffs[0], mirror) for payoffs in (t[row] for t in per_user)
-                   for mirror in payoffs[1:]]
+        return [[(payoffs[0], mirror) for payoffs in (t[row] for t in per_user)
+                 for mirror in payoffs[1:]] for row in range(len(power))]
 
     def mc_check(self, user_id: int, c: int, d: float, grid_index: int) -> tuple[float, float]:
         """Sampled (single, mirror) payoffs of one deviation."""
@@ -231,20 +229,23 @@ class _Gaps:
     def rows(self):
         """Each grid row up to d_max in turn.
 
-        A sampled row starts from the last violation seen and ends at its
+        Rows are exact until the engine refuses a block, then sampled. A
+        sampled row starts from the last violation seen and ends at its
         first violation under `fail_fast`; the last grid row is always
         complete, so an exhausted search can name its tightest violation.
         """
         index = 0
-        while self.exact:
-            ds = [d for d in map(self.grid_d, range(index, index + _BLOCK_ROWS)) if d is not None]
-            if not ds:
-                return
-            for d, values in zip(ds, self.exact_rows(ds)):
+        while ds := [d for d in map(self.grid_d, range(index, index + _BLOCK_ROWS))
+                     if d is not None]:
+            try:
+                block = self.exact_rows(ds)
+            except EnumerationBudgetError:
+                break
+            for d, values in zip(ds, block):
                 index += 1
                 yield _Row(d, self.deviations, values)
         warm = None
-        for index in itertools.count():
+        for index in itertools.count(index):
             d = self.grid_d(index)
             if d is None:
                 return
@@ -270,9 +271,9 @@ def verify_nash(
     if d < 1.0:
         raise ValueError(f"exponent must be >= 1, got {d!r}")
     gaps = _Gaps(config, settings or SolverSettings())
-    if gaps.exact:
-        values = next(gaps.exact_rows([d]))
-    else:
+    try:
+        values = gaps.exact_rows([d])[0]
+    except EnumerationBudgetError:
         values = [gaps.mc_check(n, c, d, 0) for n, c in gaps.deviations]
     row = _Row(d, gaps.deviations, values)
     return NashCertificate(d=d, checks=row.checks(), satisfied=row.satisfied)

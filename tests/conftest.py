@@ -6,6 +6,7 @@ import feedsim as fs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REF_CONFIG_PATH = REPO_ROOT / "configs" / "amt10.json"
+NET12_CONFIG_PATH = REPO_ROOT / "configs" / "net12.json"
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +18,10 @@ def ref_config() -> fs.SystemConfig:
 @pytest.fixture(scope="session")
 def ref_config_path() -> Path:
     return REF_CONFIG_PATH
+
+
+@pytest.fixture(scope="session")
+def net12_config() -> fs.SystemConfig:
+    """Twelve users with amt10's confusion matrix; its largest exact query
+    costs about 1.4e5 cells, far inside the default budget."""
+    return fs.load_config(NET12_CONFIG_PATH)

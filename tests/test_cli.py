@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -341,6 +342,19 @@ def test_sweep_ill_formed_option_exits_2(trio_path, tmp_path, capsys, option, va
     out = tmp_path / "sweep.csv"
     code = main(["sweep", trio_path, option, value, "--out", str(out)])
     assert_one_line_exit_2(code, capsys, option)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hi", [3_000_000, 10**12])
+def test_wide_c_range_exits_1_at_once(tmp_path, capsys, ref_config_path, hi):
+    """A --c-range stays a range until its counts are checked, so a range far
+    wider than the stake is refused at its first infeasible count."""
+    out = tmp_path / "sweep.csv"
+    start = time.process_time()
+    code = main(["sweep", str(ref_config_path), "--c-range", f"1:{hi}", "--out", str(out)])
+    assert time.process_time() - start < 0.5
+    assert code == 1
+    assert capsys.readouterr().err == "error: c=9 infeasible for user 1 with stake 8\n"
     assert not out.exists()
 
 

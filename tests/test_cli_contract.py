@@ -1,9 +1,11 @@
-"""The sweep's input contract as a property: every input ends in exit 0, 1 or 2.
+"""The CLI's input contract as a property: every input ends in exit 0, 1 or 2.
 
 Small random networks carry an `experiment` section whose fields, like the
 `--c-range`, `--d-list`, `--samples` and `--seed` flags, take values of every
-JSON kind. A run either writes a CSV of finite numbers or exits 1 or 2 with
-exactly one `error:` line and no output or temporary file.
+JSON kind. A sweep either writes a CSV of finite numbers or exits 1 or 2 with
+exactly one `error:` line and no output or temporary file. amt10 with one
+top-level field, or one confusion or prior entry, of any JSON kind goes
+through `validate` and `payoff` the same way.
 """
 
 import contextlib
@@ -17,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedsim.cli import main
+
+AMT10 = Path(__file__).resolve().parent.parent / "configs" / "amt10.json"
 
 SCALARS = st.one_of(
     st.none(),
@@ -80,15 +84,15 @@ def sweeps(draw):
 
 
 def run(argv):
-    """`main`'s exit code and stderr. argparse rejects a flag value of the
-    wrong kind with SystemExit(2), the exit status of the command."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    """`main`'s exit code, stdout and stderr. argparse rejects a flag value of
+    the wrong kind with SystemExit(2), the exit status of the command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -103,7 +107,7 @@ def test_sweep_ends_in_0_1_or_2(sweep):
         out = out_dir / "sweep.csv"
         argv = ["sweep", str(config), *(f"{flag}={value}" for flag, value in flags.items()),
                 "--out", str(out)]
-        code, err = run(argv)
+        code, _, err = run(argv)
         assert code in (0, 1, 2), err
         if code:
             assert sum("error:" in line for line in err.splitlines()) == 1, err
@@ -114,3 +118,45 @@ def test_sweep_ends_in_0_1_or_2(sweep):
             assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
             assert sorted(p.name for p in out_dir.iterdir()) == [
                 "sweep.csv", "sweep.csv.manifest.json"]
+
+
+@st.composite
+def amt10_docs(draw):
+    """amt10's document, its prior written out, with one top-level field or
+    one confusion or prior entry replaced by a value of any JSON kind; the
+    second item names the field when that value is an entry that is not a
+    number."""
+    doc = json.loads(AMT10.read_text())
+    doc["prior"] = [0.2] * 5
+    spot = draw(st.sampled_from(["num_classes", "confusion", "users", "prior",
+                                 "total_reward", "confusion entry", "prior entry"]))
+    value = draw(JSON_VALUES)
+    if spot == "confusion entry":
+        doc["confusion"][draw(st.integers(0, 4))][draw(st.integers(0, 4))] = value
+    elif spot == "prior entry":
+        doc["prior"][draw(st.integers(0, 4))] = value
+    else:
+        doc[spot] = value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return doc, spot.split()[0] if spot.endswith("entry") and not number else None
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=amt10_docs())
+def test_amt10_with_a_wrong_kind_field_ends_in_0_1_or_2(case):
+    doc, refused = case
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "cfg.json"
+        config.write_text(json.dumps(doc))
+        for argv in (["validate", str(config)], ["payoff", str(config), "--user", "1"]):
+            code, out, err = run(argv)
+            assert code in (0, 1, 2), err
+            if refused:
+                assert code == 2 and refused in err, (argv, err)
+            if code == 2 or (code == 1 and argv[0] == "payoff"):
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            elif code == 1:
+                assert "valid: no" in out and not err
+            elif argv[0] == "payoff":
+                value = float(out.split()[0].removeprefix("expected_payoff="))
+                assert math.isfinite(value)

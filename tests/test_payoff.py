@@ -273,10 +273,38 @@ def test_infeasible_strategy_rejected(ref_config):
         )
 
 
-def test_budget_refusal_directs_to_monte_carlo(ref_config):
-    query = fs.PayoffQuery(ref_config, 1, fs.Strategy.single(8), 1.0)
+def test_budget_refusal_directs_to_monte_carlo():
+    """27 binary rivals mirroring with distinct oracle counts give 2^27 states
+    per win table: about 7.8e9 cells, over the default budget."""
+    cfg = helpers.symmetric_binary_config(range(1, 29))
+    rivals = {u: fs.Strategy.concentrated(u, u - 1) for u in range(2, 29)}
+    query = fs.PayoffQuery(cfg, 1, fs.Strategy.single(1), 1.0, rivals)
     with pytest.raises(fs.EnumerationBudgetError):
-        fs.expected_payoff_exact(query, budget=10**6)
+        fs.expected_payoff_exact(query)
+
+
+def test_refused_payoffs_build_nothing():
+    """The engine prices a query from its group sizes before it builds any
+    table, and the same engine still answers its cheap error rate."""
+    confusion, prior = np.array([[0.8, 0.2], [0.3, 0.7]]), np.array([0.4, 0.6])
+    engine = enumeration.ExactEnumerator(confusion, prior, range(1, 28))
+    with pytest.raises(fs.EnumerationBudgetError):
+        engine.payoffs([1], [1.0], [1.0] * 27)
+    assert engine._win == {} and "_groups" not in vars(engine)
+    rate = engine.error_rates([1])[0]
+    mc, stderr = fs._montecarlo.error_rate_mc_core(confusion, prior, [1, *range(1, 28)],
+                                                    20_000, 0)
+    assert abs(rate - mc) <= 3 * stderr
+
+
+def test_twelve_users_are_exact(net12_config):
+    """Past ten users the engine's own cost routes a payoff: net12 is exact
+    and agrees with a 1e5-sample estimate."""
+    query = fs.PayoffQuery(net12_config, 1, fs.optimal_allocation(8, 2), 1.96)
+    exact = fs.expected_payoff_exact(query)
+    assert exact.method == "exact"
+    mc = fs.expected_payoff_mc(query, samples=100_000, seed=0)
+    assert abs(mc.value - exact.value) <= 3 * mc.std_error
 
 
 def test_mc_agrees_with_exact_within_three_sigma():
@@ -321,6 +349,17 @@ def test_best_response_frozen_and_trivial():
         assert fs.best_response_c(cfg, 1, d) == want
     # stake-1 user has exactly one feasible strategy
     assert fs.best_response_c(cfg, 2, 1.0) == 1
+
+
+@pytest.mark.parametrize("d,want", [(1.0, 3), (3.0, 1)])
+def test_best_response_sampled_matches_exact(d, want):
+    """Every method alias gives the same best count when the margin is wide:
+    at least 0.08 here, against a standard error of about 0.004."""
+    cfg = helpers.symmetric_binary_config([3, 2, 1])
+    for method in fs.payoff.METHODS:
+        assert fs.best_response_c(cfg, 1, d, method=method, samples=20_000) == want
+    with pytest.raises(ValueError, match="unknown method"):
+        fs.best_response_c(cfg, 1, d, method="exactly")
 
 
 def test_best_response_matches_bruteforce():

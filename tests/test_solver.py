@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,17 @@ def test_sampled_partial_rows_report_their_reversals():
             want.append({"n": e["n"], "c": e["c"], "held_at": held_at.pop(pair),
                          "failed_at": e["d"]})
     assert want and diag["reversals"] == sorted(want, key=lambda r: (r["n"], r["c"]))
+
+
+def test_twelve_users_solve_exactly(net12_config):
+    """The default search on net12 takes the exact route: every row holds
+    all 51 deviations, with no sampled partial rows."""
+    diag = {}
+    d_opt, cert = fs.find_d_opt(net12_config, diagnostics=diag)
+    assert d_opt == 1.96 and cert.satisfied and len(cert.checks) == 51
+    per_row = Counter(e["d"] for e in diag["evaluations"])
+    assert len(per_row) == diag["grid_points"] == 97
+    assert set(per_row.values()) == {51}
 
 
 def test_find_d_opt_matches_frozen_oracle_value(trio_config):
