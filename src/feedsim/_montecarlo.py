@@ -1,10 +1,13 @@
-"""Vectorized Monte Carlo round simulation shared by payoff and metrics code.
+"""The one definition of a round, and its vectorized Monte Carlo simulation.
 
-Each trial draws a truth class from the prior, one report per user from the
-confusion row, resolves the majority vote with a uniformly sampled tie-break,
-and settles the reward split -- the same round semantics as the scalar
-building blocks (`sample_report`, `majority_vote`, `distribute_rewards`),
-evaluated in whole-array passes whatever the number of users.
+A round draws a truth class from the prior and one report per user from the
+confusion row (`_draw`), resolves the majority vote with a uniformly sampled
+tie-break (`_decide`), and splits the reward among the payees that matched
+in proportion to their factors (`_split`). The scalar building blocks
+(`model.sample_report`, `aggregation.majority_vote`,
+`incentive.distribute_rewards`) and `ingest.synthesize_records` call these
+functions; `mc_rounds` and `payoff_mc` run them in whole-array passes
+whatever the number of users.
 
 A drawn batch is worked in blocks of at most `_CELLS` (user, round) cells, so
 each block's temporaries stay in cache. A block is taken user-major, users
@@ -12,7 +15,8 @@ sorted by multiplicity, so users of equal multiplicity form one group of
 contiguous rows. Per CDF threshold, one compare of the block against its
 rounds' thresholds adds into the reports, and one `np.add.reduce` count per
 group, times the group's multiplicity, gives the vote weight at or above that
-threshold. The votes are differences of those weights, exact integers, and one
+threshold (`_tally` counts reports by `_draw`'s rule, fused with the vote
+count). The votes are differences of those weights, exact integers, and one
 pass per class finds the first winner. Reports are written back in user
 order.
 
@@ -33,6 +37,18 @@ import numpy as np
 
 _BATCH = 1 << 16
 _CELLS = 1 << 16  # (user, round) cells per block
+
+
+def _draw(probabilities: np.ndarray, uniforms) -> np.ndarray:
+    """Each uniform's 0-based class: how many thresholds of its row's CDF it
+    reaches. `probabilities` holds one row, or one row per uniform, in its
+    last axis; the CDF's last column is dropped, so a uniform at or above a
+    row's total lands in the last class."""
+    thresholds = np.cumsum(probabilities, axis=-1)[..., :-1]
+    drawn = np.zeros(np.shape(uniforms), dtype=np.intp)
+    for j in range(thresholds.shape[-1]):  # a right-side search: the CDF never decreases
+        drawn += uniforms >= thresholds[..., j]
+    return drawn
 
 
 def _groups(mults: np.ndarray) -> tuple[np.ndarray, list[tuple[slice, int, np.dtype]]]:
@@ -93,6 +109,14 @@ def _decide(votes: np.ndarray, tie_uniforms: np.ndarray) -> np.ndarray:
     return output
 
 
+def _split(matched: np.ndarray, factors: np.ndarray, payee) -> np.ndarray:
+    """Each round's share of the reward for `payee` (an index or a slice of
+    `factors`): its factor over the summed factors of the payees that matched,
+    or 0 where it did not match. `matched` is one round's (payees,) mask or a
+    (rounds, payees) one."""
+    return np.where(matched[..., payee], factors[payee] / (matched @ factors), 0.0)
+
+
 def mc_rounds(
     confusion: np.ndarray,
     prior: np.ndarray,
@@ -109,7 +133,6 @@ def mc_rounds(
     mults = np.asarray(multiplicities, dtype=np.int64)
     order, groups = _groups(mults)
     block = max(1, _CELLS // mults.size)
-    cum_prior = np.cumsum(np.asarray(prior, dtype=np.float64))[:-1].tolist()
     # class-major: row j holds the j-th report threshold of every truth class
     thresholds = np.cumsum(np.asarray(confusion, dtype=np.float64), axis=1)[:, :-1].T.copy()
     class_index = np.min_scalar_type(thresholds.shape[0])
@@ -117,10 +140,7 @@ def mc_rounds(
     while remaining > 0:
         n = min(remaining, _BATCH)
         remaining -= n
-        truth_uniforms = rng.random(n)
-        truth = np.zeros(n, dtype=np.intp)
-        for threshold in cum_prior:  # a right-side search: the CDF never decreases
-            truth += truth_uniforms >= threshold
+        truth = _draw(prior, rng.random(n))
         uniforms = rng.random((n, mults.size))
         tie_uniforms = rng.random(n)
         reports = np.empty(uniforms.shape, dtype=class_index)
@@ -167,9 +187,7 @@ def payoff_mc(
     total = 0.0
     total_sq = 0.0
     for _, reports, output in mc_rounds(confusion, prior, multiplicities, samples, rng):
-        correct = reports == output[:, None]
-        denom = correct @ factors
-        share = np.where(correct[:, focal_index], factors[focal_index] / denom, 0.0)
+        share = _split(reports == output[:, None], factors, focal_index)
         total += float(share.sum())
         total_sq += float((share * share).sum())
     mean, stderr = mean_and_stderr(total, total_sq, samples)

@@ -3,9 +3,9 @@
 All oracles of one user submit the same report, so a vote profile is one
 report per user plus a multiplicity (that user's oracle count). Ties are
 resolved uniformly at random, and `tie_mass` gives each class's win
-probability. These are the scalar reference semantics: the exact engine
-integrates ties over vote counts itself (`enumeration._standings`) and the
-Monte Carlo kernel samples them (`_montecarlo`).
+probability. A sampled output comes from the Monte Carlo kernel's own
+tie-break (`_montecarlo._decide`) on a one-round vote column; the exact
+engine integrates ties over vote counts itself (`enumeration._standings`).
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._montecarlo import _decide
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,8 @@ def majority_vote(
 
     Each oracle contributes one vote regardless of stake. On a tie the winner
     set holds every argmax class and `tie_mass` splits uniformly; if `rng` is
-    given, `sampled_output` is drawn uniformly from the winners.
+    given, one uniform from it picks `sampled_output` uniformly from the
+    winners.
     """
     if profile.num_users == 0:
         raise ValueError("cannot aggregate an empty vote profile")
@@ -72,14 +75,12 @@ def majority_vote(
         if not 1 <= report <= num_classes:
             raise ValueError(f"report {report} out of range [1, {num_classes}]")
         counts[report - 1] += mult
-    top = counts.max()
-    winner_idx = np.flatnonzero(counts == top)
-    winners = frozenset(int(i) + 1 for i in winner_idx)
-    tie_mass = np.zeros(num_classes)
-    tie_mass[winner_idx] = 1.0 / winner_idx.size
+    top = counts == counts.max()
+    winners = frozenset(int(i) + 1 for i in np.flatnonzero(top))
+    tie_mass = top / np.count_nonzero(top)
     sampled = None
     if rng is not None:
-        sampled = int(winner_idx[rng.integers(winner_idx.size)]) + 1
+        sampled = int(_decide(counts[:, None], rng.random(1))[0]) + 1
     return AggregateResult(
         vote_counts=counts, winners=winners, tie_mass=tie_mass, sampled_output=sampled
     )

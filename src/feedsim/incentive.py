@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._montecarlo import _split
 from .aggregation import VoteProfile
 
 
@@ -64,16 +65,17 @@ def allocation_factor(allocation: Sequence[int], d: float) -> float:
 
 
 def distribute_rewards(factors: Sequence[float], total_reward: float) -> np.ndarray:
-    """Split the task reward proportionally to the reward factors."""
+    """Split the task reward proportionally to the reward factors, through the
+    Monte Carlo kernel's split with every positive factor counted as matched."""
     arr = np.asarray(factors, dtype=np.float64)
     if arr.size == 0 or np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("factors must be a non-empty vector of finite non-negatives")
-    total = arr.sum()
-    if total <= 0.0:
+    matched = arr > 0.0
+    if not matched.any():
         raise ZeroFactorSumError("all reward factors are zero")
     # divide each factor by the sum first: a sole positive factor maps to
     # exactly total_reward, and tiny (even subnormal) sums cannot overflow
-    return arr / total * float(total_reward)
+    return _split(matched, arr, slice(None)) * float(total_reward)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ distributed oracles, so one shared matrix is the estimand.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ConfusionMatrix
+from ._montecarlo import _draw
+from .model import ConfusionMatrix, write_text_atomic
 
 CSV_FIELDS = ("task_id", "annotator_id", "label", "gold_label")
 
@@ -215,10 +217,7 @@ def synthesize_records(
     annotators = rng.integers(0, num_annotators, size=num_records)
     uniforms = rng.random(num_records)
     truths = gold[task_ids]
-    # thresholds reached, last one dropped: a uniform past the row's total is k
-    labels = np.ones(num_records, dtype=np.int64)
-    for column in np.cumsum(confusion.entries, axis=1)[:, :-1].T:
-        labels += uniforms >= column[truths - 1]
+    labels = _draw(confusion.entries[truths - 1], uniforms) + 1
     records = [
         AnnotationRecord(f"task{t:06d}", f"worker{a:04d}", label, truth)
         for t, a, label, truth in zip(task_ids.tolist(), annotators.tolist(),
@@ -239,11 +238,14 @@ def synthesize_records(
 
 
 def write_annotation_csv(records: Iterable[AnnotationRecord], path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_FIELDS)
-        for r in records:
-            writer.writerow(
-                [r.task_id, r.annotator_id, r.label,
-                 "" if r.gold_label is None else r.gold_label]
-            )
+    """Write the records as a CSV that `read_annotation_csv` reads back; the
+    text is built in memory and written atomically."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CSV_FIELDS)
+    for r in records:
+        writer.writerow(
+            [r.task_id, r.annotator_id, r.label,
+             "" if r.gold_label is None else r.gold_label]
+        )
+    write_text_atomic(path, text.getvalue())

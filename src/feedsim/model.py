@@ -24,6 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ._montecarlo import _draw
+
 PRIOR_TOL = 1e-9
 ROW_SUM_TOL = 1e-6
 
@@ -335,16 +337,13 @@ def sample_report(
     """Draw oracle reports for a given true class.
 
     Returns a single 1-based label, or an array of them when `size` is given.
-    Deterministic for a given generator state.
+    Deterministic for a given generator state; the draw is the Monte Carlo
+    kernel's (`_montecarlo._draw`).
     """
     row = confusion.row(truth)
-    cum = np.cumsum(row)
     if size is None:
-        draw = np.minimum(np.searchsorted(cum, rng.random(), side="right"),
-                          confusion.num_classes - 1)
-        return int(draw) + 1
-    draws = np.searchsorted(cum, rng.random(size), side="right")
-    return np.minimum(draws, confusion.num_classes - 1) + 1
+        return int(_draw(row, rng.random())) + 1
+    return _draw(row, rng.random(size)) + 1
 
 
 # ---------------------------------------------------------------------------

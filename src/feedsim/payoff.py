@@ -152,15 +152,17 @@ def concentrated_payoffs(
     """
     require_valid(config)
     stake = config.user(focal_user).total_stake
-    # the allocation check raises on an infeasible count
-    counts = np.array([optimal_allocation(stake, int(c)).oracle_count for c in oracle_counts])
+    counts = [int(c) for c in oracle_counts]
+    for c in counts:  # the bounds of `optimal_allocation`, without building one
+        if not 1 <= c <= stake:
+            raise ValueError(f"oracle count {c} infeasible for stake {stake}")
     rivals = [u.total_stake for u in config.users if u.user_id != focal_user]
     top = max([stake - min(counts) + 1, *rivals])  # the largest stake factor needed
     # stake_power checks each exponent, before the engine is built
     power = np.array([[stake_power(s, float(x)) for s in range(1, top + 1)]
                       for x in np.atleast_1d(d)])
-    values = _concentrated(single_oracle_rivals(config), stake, counts, rivals, power,
-                           config.total_reward)
+    values = _concentrated(single_oracle_rivals(config), stake, np.array(counts), rivals,
+                           power, config.total_reward)
     return values if np.ndim(d) else values[0]
 
 

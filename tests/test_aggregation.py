@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import feedsim as fs
+import helpers
+from feedsim import _montecarlo
 
 
 def test_strict_majority():
@@ -101,3 +103,30 @@ def test_no_rng_means_no_sample():
     result = fs.majority_vote(fs.VoteProfile((2,), (1,)), num_classes=2)
     assert result.sampled_output is None
     assert result.winners == {2}
+
+
+@pytest.mark.parametrize("name", sorted(helpers.TIE_NETWORKS))
+def test_a_kernel_round_is_the_scalar_round(name):
+    """One `mc_rounds` round equals the round that `sample_report`,
+    `majority_vote` and `settle_round` make from the same generator: the
+    same draws, the same tie-break and the same focal share."""
+    cfg, strategies = helpers.tie_instance(name)
+    k, users = cfg.num_classes, cfg.num_users
+    prior = cfg.prior.probabilities
+    allocations = [strategies[u.user_id].allocation for u in cfg.users]
+    mults = tuple(len(a) for a in allocations)
+    factors = np.array([fs.incentive.allocation_factor(a, 2.0) for a in allocations])
+    params = fs.MechanismParams(exponent=2.0)
+    for seed in range(60):
+        (truth, reports, output), = _montecarlo.mc_rounds(
+            cfg.confusion.entries, prior, mults, 1, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        scalar_truth = int(_montecarlo._draw(prior, rng.random(1))[0]) + 1
+        scalar_reports = fs.sample_report(cfg.confusion, scalar_truth, rng, size=users)
+        profile = fs.VoteProfile(tuple(scalar_reports), mults)
+        decided = fs.majority_vote(profile, k, rng).sampled_output
+        assert (scalar_truth, scalar_reports.tolist(), decided) == (
+            truth[0] + 1, (reports[0] + 1).tolist(), output[0] + 1)
+        share = _montecarlo._split(reports == output[:, None], factors, 0)[0]
+        settled = fs.settle_round(profile, allocations, decided, params)
+        assert settled.per_user_payoffs[0] == pytest.approx(share, rel=1e-12, abs=1e-15)

@@ -3,9 +3,11 @@
 Small random networks carry an `experiment` section whose fields, like the
 `--c-range`, `--d-list`, `--samples` and `--seed` flags, take values of every
 JSON kind. A sweep either writes a CSV of finite numbers or exits 1 or 2 with
-exactly one `error:` line and no output or temporary file. amt10 with one
-top-level field, or one confusion or prior entry, of any JSON kind goes
-through `validate` and `payoff` the same way.
+exactly one `error:` line and no output or temporary file. `payoff` on the
+same networks, with one of its flags of any JSON kind, prints a finite
+payoff or exits 1 or 2 the same way. amt10 with one top-level field, or one
+confusion or prior entry, of any JSON kind goes through `validate` and
+`payoff` the same way.
 """
 
 import contextlib
@@ -54,15 +56,27 @@ FLAGS = {
 
 
 @st.composite
-def sweeps(draw):
-    """A config document of at most 6 users, stakes at most 4 and K at most 4,
-    and sweep flags, all well formed (a c may exceed the focal stake); at most
-    one experiment field or flag then takes a value of any JSON kind."""
+def networks(draw):
+    """A config document of at most 6 users, stakes at most 4 and K at most 4."""
     k = draw(st.integers(2, 4))
     stakes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
     accuracy = draw(st.floats(0.4, 0.95))
     confusion = [[accuracy if i == j else (1 - accuracy) / (k - 1) for j in range(k)]
                  for i in range(k)]
+    return {
+        "num_classes": k,
+        "confusion": confusion,
+        "users": [{"id": i + 1, "stake": s} for i, s in enumerate(stakes)],
+    }
+
+
+@st.composite
+def sweeps(draw):
+    """A `networks` document with an experiment section, and sweep flags, all
+    well formed (a c may exceed the focal stake); at most one experiment field
+    or flag then takes a value of any JSON kind."""
+    doc = draw(networks())
+    stakes = [user["stake"] for user in doc["users"]]
     experiment = draw(st.fixed_dictionaries(
         # samples is always present: the 10^6 default would take too long
         {"samples": st.integers(1, 500)},
@@ -74,12 +88,7 @@ def sweeps(draw):
         flags[spot] = json.dumps(draw(JSON_VALUES))
     elif spot:
         experiment[spot] = draw(JSON_VALUES)
-    doc = {
-        "num_classes": k,
-        "confusion": confusion,
-        "users": [{"id": i + 1, "stake": s} for i, s in enumerate(stakes)],
-        "experiment": experiment,
-    }
+    doc["experiment"] = experiment
     return doc, flags
 
 
@@ -118,6 +127,46 @@ def test_sweep_ends_in_0_1_or_2(sweep):
             assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
             assert sorted(p.name for p in out_dir.iterdir()) == [
                 "sweep.csv", "sweep.csv.manifest.json"]
+
+
+@st.composite
+def payoffs(draw):
+    """A `networks` document and well-formed payoff flags (`--c` may exceed the
+    user's stake); at most one flag then takes a value of any JSON kind."""
+    doc = draw(networks())
+    flags = draw(st.fixed_dictionaries(
+        # --user is required, and --samples always given: the 10^6 default
+        # would take too long
+        {"--user": st.integers(1, len(doc["users"])).map(str),
+         "--samples": FLAGS["--samples"]},
+        optional={"--c": st.integers(1, 4).map(str),
+                  "--d": st.floats(1.0, 6.0).map(str),
+                  "--method": FLAGS["--method"],
+                  "--seed": FLAGS["--seed"]},
+    ))
+    spot = draw(st.none() | st.sampled_from(
+        ["--user", "--c", "--d", "--method", "--samples", "--seed"]))
+    if spot:
+        flags[spot] = json.dumps(draw(JSON_VALUES))
+    return doc, flags
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=payoffs())
+def test_payoff_ends_in_0_1_or_2(case):
+    doc, flags = case
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "cfg.json"
+        config.write_text(json.dumps(doc))
+        argv = ["payoff", str(config), *(f"{flag}={value}" for flag, value in flags.items())]
+        code, out, err = run(argv)
+    assert code in (0, 1, 2), err
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+    else:
+        fields = dict(field.split("=") for field in out.split())
+        assert math.isfinite(float(fields["expected_payoff"])), out
+        assert math.isfinite(float(fields["std_error"])), out
 
 
 @st.composite

@@ -183,6 +183,17 @@ def test_csv_write_read_round_trip(tmp_path):
     assert back == records
 
 
+def test_csv_write_failing_partway_leaves_no_file(tmp_path):
+    def records():
+        yield rec("t1", "a", 1, 1)
+        raise RuntimeError("records ran dry")
+
+    path = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError):
+        write_annotation_csv(records(), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_rejects_bad_header_and_labels(tmp_path):
     bad_header = tmp_path / "bad.csv"
     bad_header.write_text("task,worker,label,gold\nt,a,1,1\n")

@@ -262,6 +262,20 @@ def test_splitting_never_hurts_at_d1(seed):
         assert np.all(np.diff(values) >= -1e-12)
 
 
+def test_concentrated_payoffs_check_counts_without_building_allocations(
+        monkeypatch, ref_config):
+    want = concentrated_payoffs(ref_config, 1, 2.0, range(1, 9))
+
+    def refuse(*args):
+        raise AssertionError("optimal_allocation called")
+
+    monkeypatch.setattr(fs.payoff, "optimal_allocation", refuse)
+    assert concentrated_payoffs(ref_config, 1, 2.0, range(1, 9)).tolist() == want.tolist()
+    for c in (0, 9):  # user 1 holds stake 8
+        with pytest.raises(ValueError, match=f"oracle count {c} infeasible for stake 8"):
+            concentrated_payoffs(ref_config, 1, 2.0, [1, c])
+
+
 def test_infeasible_strategy_rejected(ref_config):
     with pytest.raises(ValueError):
         fs.PayoffQuery(
