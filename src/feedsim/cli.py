@@ -132,6 +132,7 @@ def cmd_solve_d(args) -> int:
     config = load_config(args.config)
     require_valid(config)
     settings = SolverSettings(epsilon=args.epsilon, d_max=args.d_max)
+    diagnostics = {} if args.diagnostics else None
     if args.from_oracle_stakes:
         # observed per-oracle stakes: with default single-oracle participation
         # the config's stake list is exactly that vector
@@ -142,16 +143,18 @@ def cmd_solve_d(args) -> int:
             settings,
             prior=config.prior,
             total_reward=config.total_reward,
+            diagnostics=diagnostics,
         )
     else:
-        d_opt, certificate = find_d_opt(config, settings)
+        d_opt, certificate = find_d_opt(config, settings, diagnostics=diagnostics)
     print(f"d_opt={d_opt:.12g} checks={len(certificate.checks)} "
           f"satisfied={'yes' if certificate.satisfied else 'no'}")
-    if args.out:
-        write_text_atomic(args.out, json.dumps(certificate.to_dict(), indent=2) + "\n")
-        RunManifest.capture("solve-d", DEFAULT_SEED, config_path=args.config).write_beside(
-            args.out
-        )
+    for path, doc in ((args.out, certificate.to_dict()), (args.diagnostics, diagnostics)):
+        if path:
+            write_text_atomic(path, json.dumps(doc, indent=2) + "\n")
+            RunManifest.capture("solve-d", DEFAULT_SEED, config_path=args.config).write_beside(
+                path
+            )
     return 0
 
 
@@ -226,6 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-oracle-stakes", action="store_true",
                    help="treat the config's stakes as observed per-oracle stakes")
     p.add_argument("--out", default=None, help="write the certificate JSON here")
+    p.add_argument("--diagnostics", default=None,
+                   help="write the search's evaluations, grid points and reversals here")
     p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.set_defaults(func=cmd_solve_d)
 

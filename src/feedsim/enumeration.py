@@ -39,6 +39,12 @@ vectors).
 A query is priced in the float64 cells it would build, from the group sizes
 alone, and refused over the budget before anything is allocated: amt10's
 largest solver call costs 6.9e4 cells, 12 to 40 users at K = 5 1.3e5 to 1.2e8.
+A query pays only for the win tables of counts its engine has not built yet.
+
+An engine keeps every table it builds, so sharing one saves work:
+`payoff.engine_for` builds one per rival population of a config and keeps
+it in that config, for as long as the config lives. The solver, the sweep,
+payoffs and error rates on one config read the same tables.
 """
 
 from __future__ import annotations
@@ -89,7 +95,11 @@ def _standings(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ExactEnumerator:
-    """Builds count tables for one rival population and answers many queries."""
+    """Builds count tables for one rival population and answers many queries.
+
+    Build one with `payoff.engine_for`, which keeps it in the config it
+    describes, so that every query on that population shares its tables.
+    """
 
     def __init__(
         self,

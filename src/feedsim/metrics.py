@@ -22,7 +22,6 @@ import numpy as np
 from . import _montecarlo
 from ._montecarlo import spawn_seed
 from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
-from .enumeration import ExactEnumerator
 from .model import (
     ConfigFormatError,
     Strategy,
@@ -35,6 +34,7 @@ from .payoff import (
     EXACT,
     PayoffQuery,
     concentrated_payoffs,
+    engine_for,
     expected_payoff_mc,
     optimal_allocation,
     resolve_method,
@@ -52,7 +52,8 @@ class ExperimentSpec:
     real number (bools are neither), else ConfigFormatError names the field;
     a c outside 1..stake, a d that is not finite or below 1, `samples` below
     1, a negative `seed` or an unknown method raise ValueError. `c_values`
-    defaults to every count 1..stake and `method` accepts any `METHODS`
+    defaults to every count 1..stake (`UserProfile.oracle_counts`, which
+    refuses a stake too large to list) and `method` accepts any `METHODS`
     alias. A `range` of counts is checked before it is listed, so a range far
     wider than the stake stops at its first infeasible count.
     """
@@ -74,9 +75,10 @@ class ExperimentSpec:
         put("samples", _number(self.samples, "samples", Integral))
         put("seed", _number(self.seed, "seed", Integral))
         require_valid(self.config)
-        stake = self.config.user(self.focal_user).total_stake
+        user = self.config.user(self.focal_user)
+        stake = user.total_stake
         if self.c_values is None:
-            put("c_values", range(1, stake + 1))
+            put("c_values", user.oracle_counts())
         put("method", resolve_method(self.method))
         if not self.c_values or not self.d_values:
             raise ValueError("c_values and d_values must be non-empty")
@@ -127,10 +129,10 @@ def _exact_error_rates(
     focal_counts: Sequence[int],
     strategies: Mapping[int, Strategy],
 ) -> np.ndarray:
-    """Error rate for each focal oracle count from one engine."""
+    """Error rate for each focal oracle count from the config's engine for
+    these rivals."""
     rival_mults = [s.oracle_count for m, s in strategies.items() if m != focal_user]
-    return ExactEnumerator(config.confusion.entries, config.prior.probabilities,
-                           rival_mults).error_rates(focal_counts)
+    return engine_for(config, rival_mults).error_rates(focal_counts)
 
 
 def error_rate_exact(

@@ -15,6 +15,7 @@ of stopping at the first. Operations that need a sound config call
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from ._montecarlo import _draw
 
 PRIOR_TOL = 1e-9
 ROW_SUM_TOL = 1e-6
+MAX_ORACLE_COUNTS = 10**4  # the most counts a search or sweep lists for one user
 
 #: 1-based class index in [1, K].
 ClassLabel = int
@@ -57,6 +59,14 @@ def _require_numbers(value, field: str) -> None:
             raise ConfigFormatError(f"{field} must hold only numbers, got {entry!r}")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """`arr` as a float64 copy that cannot be written: a config's arrays
+    cannot change under the exact engines the config keeps."""
+    arr = np.array(arr, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_float_vector(values, name: str) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=np.float64)
@@ -69,13 +79,14 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassPrior:
-    """Prior distribution of the true class; defaults to uniform."""
+    """Prior distribution of the true class; defaults to uniform. The
+    probabilities are a read-only copy of the array given."""
 
     probabilities: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(
-            self, "probabilities", _as_float_vector(self.probabilities, "prior")
+            self, "probabilities", _read_only(_as_float_vector(self.probabilities, "prior"))
         )
 
     @classmethod
@@ -98,7 +109,8 @@ class ClassPrior:
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Shared K x K report distribution: rows truth, columns reported class."""
+    """Shared K x K report distribution: rows truth, columns reported class.
+    The entries are a read-only copy of the array given."""
 
     entries: np.ndarray
 
@@ -106,7 +118,7 @@ class ConfusionMatrix:
         arr = np.asarray(self.entries, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ConfigFormatError("confusion matrix must be square and non-empty")
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _read_only(arr))
 
     @classmethod
     def identity(cls, num_classes: int) -> "ConfusionMatrix":
@@ -165,6 +177,19 @@ class UserProfile:
         elif stake < 1:
             out.append(f"user {self.user_id}: stake {stake} is below the minimum stake 1")
         return out
+
+    def oracle_counts(self) -> range:
+        """Every oracle count this user can run, 1..stake.
+
+        A search or a sweep lists and evaluates each of them, so a stake over
+        `MAX_ORACLE_COUNTS` raises ValueError before any list is built.
+        """
+        if self.total_stake > MAX_ORACLE_COUNTS:
+            raise ValueError(
+                f"user {self.user_id}: stake {self.total_stake} has more oracle counts "
+                f"than the {MAX_ORACLE_COUNTS} a search or sweep can list"
+            )
+        return range(1, self.total_stake + 1)
 
 
 @dataclass(frozen=True)
@@ -256,6 +281,12 @@ class SystemConfig:
     def default_strategies(self) -> dict[int, Strategy]:
         """Everyone runs a single oracle carrying their full stake."""
         return {u.user_id: Strategy.single(u.total_stake) for u in self.users}
+
+    @functools.cached_property
+    def _engines(self) -> dict:
+        """This config's exact engines by (rival oracle counts, budget). Only
+        `payoff.engine_for` fills it, and an engine lives as long as its config."""
+        return {}
 
 
 def resolve_strategies(

@@ -3,10 +3,13 @@
 The exact path sums over rival report counts (the engine in `enumeration`,
 which treats rivals as exchangeable apart from oracle count and reward
 factor) and integrates the uniform tie-break analytically; the Monte Carlo
-path samples full rounds, tie-breaks included. Concentrating all stake
-beyond the per-oracle minimum on a single oracle maximizes the reward factor
-for a fixed oracle count, so the concentrated allocation is the canonical
-mirroring strategy and the one the best-response search uses.
+path samples full rounds, tie-breaks included. `engine_for` is the one place
+an engine is built: a config keeps one per rival population, so the solver,
+the sweep, the payoff and the error rate on one config share its tables.
+Concentrating all stake beyond the per-oracle minimum on a single oracle
+maximizes the reward factor for a fixed oracle count, so the concentrated
+allocation is the canonical mirroring strategy and the one the best-response
+search uses.
 """
 
 from __future__ import annotations
@@ -83,15 +86,30 @@ def optimal_allocation(total_stake: int, oracle_count: int) -> Strategy:
     return Strategy.concentrated(total_stake, oracle_count)
 
 
+def engine_for(
+    config: SystemConfig, rival_mults: Sequence[int], budget: int = DEFAULT_BUDGET
+) -> ExactEnumerator:
+    """The exact engine of `config` for rivals running `rival_mults` oracles,
+    in that order, within `budget` cells.
+
+    Built on first use and kept in the config, so every later query on the
+    same rival population reads the tables already built; it lives exactly as
+    long as the config. A payoff does not depend on the counts or rows that
+    share an engine, so sharing one cannot change a value.
+    """
+    key = (tuple(int(m) for m in rival_mults), budget)
+    engine = config._engines.get(key)
+    if engine is None:
+        engine = config._engines[key] = ExactEnumerator(
+            config.confusion.entries, config.prior.probabilities, *key)
+    return engine
+
+
 def expected_payoff_exact(query: PayoffQuery) -> PayoffEstimate:
     """Exact expected payoff; EnumerationBudgetError if over the engine's budget."""
     strategies = query.resolved_strategies()
     rivals = [strategies[u.user_id] for u in query.config.users if u.user_id != query.focal_user]
-    engine = ExactEnumerator(
-        query.config.confusion.entries,
-        query.config.prior.probabilities,
-        [s.oracle_count for s in rivals],
-    )
+    engine = engine_for(query.config, [s.oracle_count for s in rivals])
     focal = strategies[query.focal_user]
     value = engine.payoffs(
         [focal.oracle_count],
@@ -130,13 +148,9 @@ def expected_payoff_mc(
 
 
 def single_oracle_rivals(config: SystemConfig, budget: int = DEFAULT_BUDGET) -> ExactEnumerator:
-    """The engine for any focal user whose rivals each run one oracle."""
-    return ExactEnumerator(
-        config.confusion.entries,
-        config.prior.probabilities,
-        (1,) * (config.num_users - 1),
-        budget,
-    )
+    """The engine for any focal user whose rivals each run one oracle: the
+    config's own, shared by the solver, the sweep and the default error rate."""
+    return engine_for(config, (1,) * (config.num_users - 1), budget)
 
 
 def concentrated_payoffs(
@@ -157,10 +171,12 @@ def concentrated_payoffs(
         if not 1 <= c <= stake:
             raise ValueError(f"oracle count {c} infeasible for stake {stake}")
     rivals = [u.total_stake for u in config.users if u.user_id != focal_user]
-    top = max([stake - min(counts) + 1, *rivals])  # the largest stake factor needed
-    # stake_power checks each exponent, before the engine is built
-    power = np.array([[stake_power(s, float(x)) for s in range(1, top + 1)]
-                      for x in np.atleast_1d(d)])
+    ds = [float(x) for x in np.atleast_1d(d)]
+
+    def power(stakes):  # only the stakes asked for, so a huge stake lists nothing
+        return np.array([[stake_power(s, x) for s in stakes] for x in ds]
+                        ).reshape(len(ds), len(stakes))
+
     values = _concentrated(single_oracle_rivals(config), stake, np.array(counts), rivals,
                            power, config.total_reward)
     return values if np.ndim(d) else values[0]
@@ -168,10 +184,11 @@ def concentrated_payoffs(
 
 def _concentrated(engine, stake, counts, rival_stakes, power, total_reward) -> np.ndarray:
     """The one builder of concentrated payoffs: `(rows, counts)`, against single
-    oracles of `rival_stakes`, from an array `power[r, s - 1] = s ** d_r`."""
+    oracles of `rival_stakes`, from `power(s)`, the `(rows, len(s))` array of
+    s ** d_r for a list of stakes s."""
     # c oracles: c - 1 holding stake 1 and one holding the rest
-    focal = (counts - 1) + power[:, stake - counts]
-    rivals = power[:, [s - 1 for s in rival_stakes]]
+    focal = (counts - 1) + power([stake - c + 1 for c in counts.tolist()])
+    rivals = power(list(rival_stakes))
     return engine.payoffs(counts, focal, rivals, total_reward=total_reward)
 
 
@@ -189,8 +206,8 @@ def best_response_c(
     full-stake oracles; ties break toward fewer oracles. `method` accepts any
     `METHODS` alias; count c samples the stream `spawn_seed(seed, c)`.
     """
-    stake = config.user(focal_user).total_stake
-    counts = list(range(1, stake + 1))
+    user = config.user(focal_user)
+    stake, counts = user.total_stake, list(user.oracle_counts())
     if resolve_method(method) == EXACT:
         values = concentrated_payoffs(config, focal_user, d, counts)
     else:

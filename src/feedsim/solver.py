@@ -159,14 +159,14 @@ class _Row(NamedTuple):
 class _Gaps:
     """Rows of the gap matrix: both sides of every deviation check at each
     grid exponent. Rivals run single full-stake oracles, so every focal user
-    shares one engine."""
+    shares one engine, the config's own."""
 
     def __init__(self, config: SystemConfig, settings: SolverSettings):
         self.config = config
         self.settings = settings
         self.users = sorted(config.users, key=lambda u: u.user_id)
         self.deviations = [
-            (u.user_id, c) for u in self.users for c in range(2, u.total_stake + 1)
+            (u.user_id, c) for u in self.users for c in u.oracle_counts()[1:]
         ]
         self.engine = single_oracle_rivals(config, settings.enumeration_budget)
 
@@ -199,7 +199,8 @@ class _Gaps:
         for stake in sorted({s for s in stakes if s >= 2}, reverse=True):
             i = stakes.index(stake)
             tables[stake] = _concentrated(self.engine, stake, np.arange(1, stake + 1),
-                                          stakes[:i] + stakes[i + 1:], power,
+                                          stakes[:i] + stakes[i + 1:],
+                                          lambda s: power[:, np.array(s, dtype=np.int64) - 1],
                                           self.config.total_reward).tolist()
         per_user = [tables[s] for s in stakes if s >= 2]
         return [[(payoffs[0], mirror) for payoffs in (t[row] for t in per_user)
@@ -293,10 +294,11 @@ def find_d_opt(
     """
     settings = settings or SolverSettings()
     require_valid(config)
-    visited = []
+    visited = []  # kept only for diagnostics: a row holds every deviation's payoffs
     # with no user able to afford a second oracle, the first row holds vacuously
     for row in _Gaps(config, settings).rows():
-        visited.append(row)
+        if diagnostics is not None:
+            visited.append(row)
         if row.satisfied:
             break
     else:

@@ -15,6 +15,14 @@ def ref_config() -> fs.SystemConfig:
     return fs.load_config(REF_CONFIG_PATH)
 
 
+@pytest.fixture
+def fresh_ref_config() -> fs.SystemConfig:
+    """amt10 loaded anew, with no exact engine built yet: for tests that count
+    engine work or shrink the engine's blocks, which must build their own
+    tables rather than read the ones `ref_config` keeps."""
+    return fs.load_config(REF_CONFIG_PATH)
+
+
 @pytest.fixture(scope="session")
 def ref_config_path() -> Path:
     return REF_CONFIG_PATH

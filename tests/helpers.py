@@ -1,9 +1,35 @@
 """Construction helpers shared by the test modules."""
 
+import functools
+from collections import Counter
+
 import numpy as np
 
 import feedsim as fs
 from feedsim import _montecarlo
+
+
+def count_engine_work(monkeypatch) -> Counter:
+    """Count, for the rest of the test, exact-engine constructions, `payoffs`
+    and `_win_tables` calls, and `_groups` builds."""
+    engine = fs.enumeration.ExactEnumerator
+    calls = Counter()
+    for name in ("__init__", "payoffs", "_win_tables"):
+        def counted(self, *args, _method=getattr(engine, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    build = engine.__dict__["_groups"].func
+
+    def groups(self):
+        calls["_groups"] += 1
+        return build(self)
+
+    counted_groups = functools.cached_property(groups)
+    counted_groups.__set_name__(engine, "_groups")
+    monkeypatch.setattr(engine, "_groups", counted_groups)
+    return calls
 
 
 def weakly_accurate_matrix(rng, num_classes):

@@ -105,6 +105,48 @@ def test_solve_d_certificate_records_the_grid_value(ref_config_path, tmp_path, c
     assert '"d": 2.28,' in cert_path.read_text()
 
 
+@pytest.mark.parametrize("oracle_stakes", [[], ["--from-oracle-stakes"]])
+def test_solve_d_diagnostics_leave_stdout_and_certificate_alone(
+        trio_path, tmp_path, capsys, oracle_stakes):
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    args = ["solve-d", trio_path, "--epsilon", "0.05", *oracle_stakes]
+    assert main([*args, "--out", str(plain)]) == 0
+    out = capsys.readouterr().out
+    diag = tmp_path / "diag.json"
+    assert main([*args, "--out", str(traced), "--diagnostics", str(diag)]) == 0
+    assert capsys.readouterr().out == out == "d_opt=1.6 checks=1 satisfied=yes\n"
+    assert traced.read_bytes() == plain.read_bytes()
+    want = {}
+    fs.find_d_opt(fs.load_config(trio_path), fs.SolverSettings(epsilon=0.05), diagnostics=want)
+    assert json.loads(diag.read_text()) == want and want["grid_points"] == 13
+    manifest = json.loads((tmp_path / "diag.json.manifest.json").read_text())
+    assert manifest["command"] == "solve-d" and manifest["config_path"] == trio_path
+
+
+@pytest.mark.parametrize("command", [["solve-d"], ["sweep", "--out", "sweep.csv"]])
+def test_stake_too_large_to_list_exits_1_at_once(tmp_path, capsys, command):
+    """A validated stake of 10**30 is refused before any per-count list."""
+    path = write_config(tmp_path / "huge.json", helpers.symmetric_binary_config([10**30, 1]))
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    args = [command[0], path, *[str(tmp_path / a) if a.endswith(".csv") else a
+                                for a in command[1:]]]
+    assert main(args) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: user 1: stake " + str(10**30))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+
+def test_sweep_against_a_huge_rival_stake_lists_only_its_own_counts(tmp_path, capsys):
+    path = write_config(tmp_path / "huge.json", helpers.symmetric_binary_config([10**30, 1]))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", path, "--user", "2", "--d-list", "1,2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 2 rows to {out}\n"
+    assert main(["sweep", path, "--c-range", "1:2", "--out", str(out)]) == 0
+
+
 def test_solve_d_failed_rename_keeps_old_certificate(trio_path, tmp_path, monkeypatch):
     cert_path = tmp_path / "cert.json"
     cert_path.write_text("old certificate\n")

@@ -81,21 +81,22 @@ def test_shuffled_and_renumbered_users_give_equal_answers(network, d):
 
 
 @pytest.mark.parametrize("d,block", [(1.0, None), (2.28, None), (15.99, None), (2.28, 64)])
-def test_amt10_paths_agree_on_every_deviation(ref_config, monkeypatch, d, block):
+def test_amt10_paths_agree_on_every_deviation(fresh_ref_config, monkeypatch, d, block):
     """The certificate, the sweep over all counts, a call for two counts and
     the general payoff give the same number for each (user, count), also when
     64-cell blocks make every query walk its splits in several passes."""
     if block is not None:
         monkeypatch.setattr(enumeration, "_BLOCK", block)
-    checks = keyed_checks(fs.verify_nash(ref_config, d).checks)
-    for user in ref_config.users:
+    config = fresh_ref_config  # builds its tables at this block size
+    checks = keyed_checks(fs.verify_nash(config, d).checks)
+    for user in config.users:
         n, stake = user.user_id, user.total_stake
         if stake < 2:
             continue
-        swept = fs.payoff.concentrated_payoffs(ref_config, n, [d], range(1, stake + 1))[0].tolist()
-        pair = fs.payoff.concentrated_payoffs(ref_config, n, d, [stake, 1]).tolist()
+        swept = fs.payoff.concentrated_payoffs(config, n, [d], range(1, stake + 1))[0].tolist()
+        pair = fs.payoff.concentrated_payoffs(config, n, d, [stake, 1]).tolist()
         general = [fs.expected_payoff_exact(fs.PayoffQuery(
-            ref_config, n, fs.optimal_allocation(stake, c), d)).value for c in range(1, stake + 1)]
+            config, n, fs.optimal_allocation(stake, c), d)).value for c in range(1, stake + 1)]
         assert [checks[n, c] for c in range(2, stake + 1)] == [
             (swept[0], mirror) for mirror in swept[1:]]
         assert pair == [swept[-1], swept[0]]

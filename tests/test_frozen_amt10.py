@@ -53,8 +53,9 @@ def test_payoff_against_mirroring_rivals_matches_frozen(ref_config):
     assert got == pytest.approx(want["value"], abs=TOL, rel=0)
 
 
-def test_blocked_enumeration_matches_frozen(ref_config, monkeypatch):
-    """Tiny blocks force the engine to loop over state and split blocks."""
+def test_blocked_enumeration_matches_frozen(fresh_ref_config, monkeypatch):
+    """Tiny blocks force the engine to loop over state and split blocks; a
+    fresh config builds its tables at that block size."""
     monkeypatch.setattr(enumeration, "_BLOCK", 7)
-    test_payoff_against_mirroring_rivals_matches_frozen(ref_config)
-    test_sweep_matches_frozen(ref_config, "1")
+    test_payoff_against_mirroring_rivals_matches_frozen(fresh_ref_config)
+    test_sweep_matches_frozen(fresh_ref_config, "1")

@@ -19,6 +19,30 @@ def test_reference_config_valid_and_weakly_accurate(ref_config):
     assert ref_config.confusion.entries[3, 3] == pytest.approx(0.8072)
 
 
+def test_config_arrays_are_read_only_copies(fresh_ref_config):
+    """An exact engine kept by a config reads the config's arrays, so they
+    cannot be written in place; the caller's own arrays stay writable."""
+    entries, prior = np.array([[0.8, 0.2], [0.3, 0.7]]), np.array([0.4, 0.6])
+    cfg = fs.SystemConfig(2, fs.ConfusionMatrix(entries), (fs.UserProfile(1, 1),),
+                          prior=fs.ClassPrior(prior))
+    for array in (cfg.confusion.entries, cfg.prior.probabilities,
+                  fresh_ref_config.confusion.entries, fresh_ref_config.prior.probabilities):
+        assert array.dtype == np.float64
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    entries[0, 0], prior[0] = 0.5, 0.5
+    assert cfg.confusion.entries.tolist() == [[0.8, 0.2], [0.3, 0.7]]
+    assert cfg.prior.probabilities.tolist() == [0.4, 0.6]
+
+
+def test_oracle_counts_stop_at_the_listing_bound():
+    bound = fs.model.MAX_ORACLE_COUNTS
+    assert fs.UserProfile(3, 4).oracle_counts() == range(1, 5)
+    assert len(fs.UserProfile(3, bound).oracle_counts()) == bound
+    with pytest.raises(ValueError, match=f"user 3: stake {bound + 1} has more oracle counts"):
+        fs.UserProfile(3, bound + 1).oracle_counts()
+
+
 def test_identity_matrix_valid_and_weakly_accurate():
     cfg = fs.SystemConfig(
         num_classes=3,

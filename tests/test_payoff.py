@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,13 +120,13 @@ ROW_CASES = [pytest.param(("amt10", u), id=f"amt10-user{u}") for u in (1, 7)] + 
 
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("case", ROW_CASES)
-def test_batched_rows_match_one_row_calls(ref_config, monkeypatch, case, block):
+def test_batched_rows_match_one_row_calls(fresh_ref_config, monkeypatch, case, block):
     """One engine call over rows of exponents equals one 1-D call per row;
     tiny blocks walk the states and the splits in many passes."""
     if block is not None:
         monkeypatch.setattr(enumeration, "_BLOCK", block)
     if case[0] == "amt10":
-        cfg, focal = ref_config, case[1]
+        cfg, focal = fresh_ref_config, case[1]
         strategies = cfg.default_strategies()
     else:
         rng = np.random.default_rng(900 + case[1])
@@ -147,17 +148,19 @@ def test_batched_rows_match_one_row_calls(ref_config, monkeypatch, case, block):
 
 
 @pytest.mark.parametrize("block", [None, 64])
-def test_sweep_of_many_exponents_matches_one_row_calls(ref_config, monkeypatch, block):
+def test_sweep_of_many_exponents_matches_one_row_calls(fresh_ref_config, monkeypatch, block):
     """A sweep row's payoffs do not depend on the rows that share its call,
-    also when the rows are taken a few at a time to bound each pass."""
+    also when the rows are taken a few at a time to bound each pass, on a
+    config whose engine builds its tables at that block size."""
     if block is not None:
         monkeypatch.setattr(enumeration, "_BLOCK", block)
+    config = fresh_ref_config  # builds its tables at this block size
     ds = [round(1.0 + 0.05 * i, 12) for i in range(64)]
-    counts = range(1, ref_config.user(1).total_stake + 1)
-    swept = fs.payoff.concentrated_payoffs(ref_config, 1, ds, counts)
+    counts = range(1, config.user(1).total_stake + 1)
+    swept = fs.payoff.concentrated_payoffs(config, 1, ds, counts)
     assert swept.shape == (len(ds), len(counts))
     for got, d in zip(swept, ds):
-        assert got.tolist() == fs.payoff.concentrated_payoffs(ref_config, 1, d, counts).tolist()
+        assert got.tolist() == fs.payoff.concentrated_payoffs(config, 1, d, counts).tolist()
 
 
 def rival_population(case, ref_config):
@@ -309,6 +312,43 @@ def test_refused_payoffs_build_nothing():
     mc, stderr = fs._montecarlo.error_rate_mc_core(confusion, prior, [1, *range(1, 28)],
                                                     20_000, 0)
     assert abs(rate - mc) <= 3 * stderr
+
+
+def test_one_engine_answers_the_papers_pipeline(fresh_ref_config, ref_config_path, monkeypatch):
+    """d_opt, the deviation one step below it, the sweep and the error rate on
+    one config share one engine: one construction, one set of group tables and
+    one win-table build. Each value equals the one a fresh config gives."""
+
+    def search(cfg):
+        d, certificate = fs.find_d_opt(cfg)
+        return d, certificate.to_dict()
+
+    steps = [
+        search,
+        *[lambda cfg, c=c: fs.expected_payoff_exact(
+            fs.PayoffQuery(cfg, 7, fs.optimal_allocation(6, c), 2.27)) for c in (1, 6)],
+        lambda cfg: fs.run_experiment(fs.ExperimentSpec(cfg, 1, range(1, 9), (1.0, 2.28))),
+        fs.error_rate_exact,
+    ]
+    calls = helpers.count_engine_work(monkeypatch)
+    shared = [step(fresh_ref_config) for step in steps]
+    assert (calls["__init__"], calls["_groups"], calls["_win_tables"]) == (1, 1, 1)
+    assert shared == [step(fs.load_config(ref_config_path)) for step in steps]
+    assert shared[1].value < shared[2].value  # mirroring still pays one step below d_opt
+
+
+def test_a_replaced_config_builds_its_own_engine(fresh_ref_config):
+    engine = fs.payoff.single_oracle_rivals(fresh_ref_config)
+    assert fs.payoff.single_oracle_rivals(fresh_ref_config) is engine
+    before = concentrated_payoffs(fresh_ref_config, 1, 2.0, range(1, 9)).tolist()
+    confusion = fs.ConfusionMatrix(np.full((5, 5), 0.1) + 0.5 * np.eye(5))
+    replaced = dataclasses.replace(fresh_ref_config, confusion=confusion)
+    assert fs.payoff.single_oracle_rivals(replaced) is not engine
+    built = fs.SystemConfig(5, confusion, fresh_ref_config.users, fresh_ref_config.prior)
+    got = concentrated_payoffs(replaced, 1, 2.0, range(1, 9)).tolist()
+    assert got == concentrated_payoffs(built, 1, 2.0, range(1, 9)).tolist() != before
+    assert fs.error_rate_exact(replaced) == fs.error_rate_exact(built)
+    assert concentrated_payoffs(fresh_ref_config, 1, 2.0, range(1, 9)).tolist() == before
 
 
 def test_twelve_users_are_exact(net12_config):

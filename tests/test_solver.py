@@ -37,41 +37,38 @@ def test_amt10_d_opt_is_the_grid_value(ref_config):
 
 
 @pytest.mark.parametrize("block", [None, 64], ids=["default", "block64"])
-def test_amt10_evaluations_match_verify_nash_row_by_row(ref_config, monkeypatch, block):
+def test_amt10_evaluations_match_verify_nash_row_by_row(fresh_ref_config, monkeypatch, block):
     """The evaluations read off the search's blocks of rows equal the checks
     verify_nash computes one exponent at a time, bit for bit. At 64 cells a
-    block, every amt10 payoff query walks its splits in several passes."""
+    block, every amt10 payoff query walks its splits in several passes, on a
+    config whose engine builds its tables at that block size."""
     if block is not None:
         monkeypatch.setattr(enumeration, "_BLOCK", block)
     diag = {}
-    fs.find_d_opt(ref_config, diagnostics=diag)
+    fs.find_d_opt(fresh_ref_config, diagnostics=diag)
     visited = sorted({e["d"] for e in diag["evaluations"]})
     assert len(visited) == diag["grid_points"] == 129
     rebuilt = [
         {"d": d, **check.to_dict(), "holds": check.holds}
         for d in visited
-        for check in fs.verify_nash(ref_config, d).checks
+        for check in fs.verify_nash(fresh_ref_config, d).checks
     ]
     assert diag["evaluations"] == rebuilt
 
 
-def test_one_engine_call_per_distinct_stake(ref_config, monkeypatch):
+def test_one_engine_call_per_distinct_stake(fresh_ref_config, monkeypatch):
     """amt10's stakes 8,5,3,8,4,7,6,5,7,2 take 7 payoff calls a block, and
-    the first, at stake 8, builds the win tables of every count."""
-    calls = {"payoffs": 0, "_win_tables": 0}
-    for name in calls:
-        method = getattr(enumeration.ExactEnumerator, name)
-
-        def counted(self, *args, _method=method, _name=name, **kwargs):
-            calls[_name] += 1
-            return _method(self, *args, **kwargs)
-
-        monkeypatch.setattr(enumeration.ExactEnumerator, name, counted)
+    the first, at stake 8, builds the win tables of every count. A second
+    search on the same config reads the tables the first one built."""
+    calls = helpers.count_engine_work(monkeypatch)
     diag = {}
     # starting 15 steps below the answer, the search is one 16-row block
-    d_opt, _ = fs.find_d_opt(ref_config, fs.SolverSettings(starting_d=2.13), diagnostics=diag)
+    settings = fs.SolverSettings(starting_d=2.13)
+    d_opt, _ = fs.find_d_opt(fresh_ref_config, settings, diagnostics=diag)
     assert d_opt == 2.28 and diag["grid_points"] == 16
-    assert calls == {"payoffs": 7, "_win_tables": 1}
+    assert calls == {"__init__": 1, "_groups": 1, "payoffs": 7, "_win_tables": 1}
+    assert fs.find_d_opt(fresh_ref_config, settings)[0] == 2.28
+    assert calls == {"__init__": 1, "_groups": 1, "payoffs": 14, "_win_tables": 1}
 
 
 @pytest.mark.parametrize("d", [1.0, 2.27, 2.28])
