@@ -25,6 +25,7 @@ from .incentive import (
 )
 from .ingest import (
     AnnotationRecord,
+    AnnotationTable,
     IngestError,
     IngestReport,
     IngestSettings,

@@ -180,6 +180,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_estimate_cm(args) -> int:
+    if args.k < 2:
+        raise IngestError(f"--k must be at least 2, got {args.k}")
     label_map = _parse_label_map(args.label_map) if args.label_map else None
     settings = IngestSettings(
         min_participation=args.min_participation,

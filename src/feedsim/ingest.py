@@ -6,6 +6,14 @@ fewer than a minimum fraction of the distinct gold-labeled tasks, pools the
 survivors into a count matrix (gold class x reported label), and normalizes
 rows. Pooling is deliberate: the voting model assumes identically
 distributed oracles, so one shared matrix is the estimand.
+
+Records are held as columns, in an `AnnotationTable`: task and annotator
+codes into tuples of the distinct ids, and label and gold arrays.
+`read_annotation_csv` reads the CSV `_CHUNK` rows at a time and codes each
+chunk's fields before it reads the next, so it holds at most one chunk of
+field strings, the distinct ids and raw labels, and the integer columns; it
+builds no object per record. `estimate_confusion` counts over the codes with
+`np.bincount`.
 """
 
 from __future__ import annotations
@@ -13,11 +21,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, islice, repeat
+from operator import add, is_not, length_hint
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +33,10 @@ from ._montecarlo import _draw
 from .model import ConfusionMatrix, write_text_atomic
 
 CSV_FIELDS = ("task_id", "annotator_id", "label", "gold_label")
+
+# rows read and coded at a time: bounds the field strings held at once
+_CHUNK = 1 << 12
+_ROW_END = object()  # marks the end of each row in a flattened chunk
 
 
 class IngestError(ValueError):
@@ -36,6 +48,73 @@ class AnnotationRecord(NamedTuple):
     annotator_id: str
     label: int
     gold_label: int | None  # None when the task has no gold standard
+
+
+@dataclass(frozen=True, eq=False)
+class AnnotationTable:
+    """Annotation records as columns.
+
+    `tasks` and `annotators` are codes into `task_ids` and `annotator_ids`,
+    whose ids are in order of first appearance. `golds` is meaningful only
+    where `has_gold` is set, so no gold value a record can carry, 0 included,
+    is taken for a missing one. The arrays are read-only.
+    """
+
+    task_ids: tuple[str, ...]
+    annotator_ids: tuple[str, ...]
+    tasks: np.ndarray
+    annotators: np.ndarray
+    labels: np.ndarray
+    golds: np.ndarray
+    has_gold: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.tasks, self.annotators, self.labels, self.golds, self.has_gold):
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @classmethod
+    def from_records(cls, records: Iterable[AnnotationRecord]) -> AnnotationTable:
+        """The table of `records`, ids taken as they are."""
+        tasks, annotators, labels, golds = tuple(zip(*records)) or ((),) * len(CSV_FIELDS)
+        task_ids: dict = {}
+        annotator_ids: dict = {}
+        task_codes = _code(tasks, task_ids, lambda _: len(task_ids))
+        annotator_codes = _code(annotators, annotator_ids, lambda _: len(annotator_ids))
+        return cls(
+            task_ids=tuple(task_ids),
+            annotator_ids=tuple(annotator_ids),
+            tasks=task_codes,
+            annotators=annotator_codes,
+            labels=np.fromiter(labels, np.int64, len(labels)),
+            golds=_code(golds, {}, lambda gold: 0 if gold is None else gold),
+            has_gold=np.fromiter(map(is_not, golds, repeat(None)), bool, len(golds)),
+        )
+
+    def records(self) -> list[AnnotationRecord]:
+        """The records, one per row; records of one task or annotator share
+        its id string."""
+        return [AnnotationRecord(*fields) for fields in zip(
+            map(self.task_ids.__getitem__, self.tasks.tolist()),
+            map(self.annotator_ids.__getitem__, self.annotators.tolist()),
+            self.labels.tolist(),
+            np.where(self.has_gold, self.golds, None).tolist(),
+        )]
+
+
+def _code(column: Sequence, index: dict, new: Callable) -> np.ndarray:
+    """`column` mapped through `index`, which first gains `new(value)` for
+    each value it lacks, in order of first appearance."""
+    try:
+        return np.fromiter(map(index.__getitem__, column), np.int64, len(column))
+    except KeyError:
+        pass
+    for value in dict.fromkeys(column):
+        if value not in index:
+            index[value] = new(value)
+    return np.fromiter(map(index.__getitem__, column), np.int64, len(column))
 
 
 @dataclass(frozen=True)
@@ -109,69 +188,126 @@ def _map_label(raw: str, settings: IngestSettings, num_classes: int,
     return value
 
 
-def read_annotation_csv(path, settings: IngestSettings,
-                        num_classes: int) -> list[AnnotationRecord]:
-    """Read `task_id,annotator_id,label,gold_label` rows; empty gold = missing.
-    Blank lines are skipped, and errors name the physical line."""
-    records = []
-    ids: dict[str, str] = {}
-    labels: dict[str, int] = {}
-    golds: dict[str, int | None] = {}
+def _open_csv(path):
     # utf-8-sig: spreadsheet exports may start with a byte order mark
-    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
+    return Path(path).open(newline="", encoding="utf-8-sig")
+
+
+def _check_header(header: list[str] | None) -> None:
+    if header is None or tuple(header) != CSV_FIELDS:
+        raise IngestError(
+            f"annotation CSV must have header {','.join(CSV_FIELDS)}, "
+            f"got {header}"
+        )
+
+
+def _chunks(reader) -> Iterator[list[list[str]]]:
+    """The fields of each next `_CHUNK` rows of `reader`, one list per CSV
+    column, blank rows skipped. Raises IngestError, naming no line, if a row
+    has other than one field per column."""
+    width = len(CSV_FIELDS) + 1
+    end = [_ROW_END]
+    while True:
+        line = reader.line_num
+        ends = repeat(end, _CHUNK)
+        # each row gains one end marker, so a row of any other length moves
+        # every later marker off the stride; `ends` left over counts the rows
+        flat = list(chain.from_iterable(map(add, filter(None, islice(reader, _CHUNK)), ends)))
+        if reader.line_num == line:
+            return
+        rows = _CHUNK - length_hint(ends)
+        if len(flat) != width * rows or flat[width - 1::width].count(_ROW_END) != rows:
+            raise IngestError(f"a row does not have {len(CSV_FIELDS)} fields")
+        yield [flat[i::width] for i in range(len(CSV_FIELDS))]
+
+
+def _check_rows(path, settings: IngestSettings, num_classes: int) -> None:
+    """Read `path` row by row and raise its first error, naming the physical
+    line it ends on."""
+    valid: set[str] = set()  # raw labels already mapped
+    with _open_csv(path) as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_FIELDS:
-            raise IngestError(
-                f"annotation CSV must have header {','.join(CSV_FIELDS)}, "
-                f"got {header}"
-            )
+        _check_header(next(reader, None))
         for row in reader:
             if not row:
                 continue
             if len(row) != len(CSV_FIELDS):
                 raise IngestError(f"line {reader.line_num}: expected "
                                   f"{len(CSV_FIELDS)} fields, got {len(row)}")
-            task, annotator, label, gold = row
-            if gold not in golds:
-                golds[gold] = (_map_label(gold, settings, num_classes,
-                                          f"line {reader.line_num}")
-                               if gold.strip() else None)
-            if label not in labels:
-                labels[label] = _map_label(label, settings, num_classes,
-                                           f"line {reader.line_num}")
-            # tuple.__new__ skips the record's Python-level __new__
-            records.append(tuple.__new__(AnnotationRecord, (
-                ids.setdefault(task, task.strip()),
-                ids.setdefault(annotator, annotator.strip()),
-                labels[label], golds[gold],
-            )))
-    return records
+            _, _, label, gold = row
+            for raw in (gold, label) if gold.strip() else (label,):
+                if raw not in valid:
+                    _map_label(raw, settings, num_classes, f"line {reader.line_num}")
+                    valid.add(raw)
+
+
+def read_annotation_csv(path, settings: IngestSettings,
+                        num_classes: int) -> AnnotationTable:
+    """Read `task_id,annotator_id,label,gold_label` rows; empty gold = missing.
+    Ids are stripped, blank lines are skipped, and errors name the physical
+    line of the first bad row."""
+    try:
+        return _read_table(path, settings, num_classes)
+    except (IngestError, UnicodeDecodeError, csv.Error) as exc:
+        error = exc
+    # a chunk is checked only once all its rows are read: re-read row by row
+    # for the first error in file order and its line (finding none, the file
+    # changed between the reads, and the chunk's error stands)
+    _check_rows(path, settings, num_classes)
+    raise error
+
+
+def _read_table(path, settings: IngestSettings, num_classes: int) -> AnnotationTable:
+    task_ids: dict[str, int] = {}
+    annotator_ids: dict[str, int] = {}
+    news = (
+        lambda raw: task_ids.setdefault(raw.strip(), len(task_ids)),
+        lambda raw: annotator_ids.setdefault(raw.strip(), len(annotator_ids)),
+        lambda raw: _map_label(raw, settings, num_classes, "a row"),
+        lambda raw: _map_label(raw, settings, num_classes, "a row") if raw.strip() else 0,
+    )
+    indexes = tuple({} for _ in CSV_FIELDS)  # raw field -> code or class
+    parts = tuple([np.empty(0, np.int64)] for _ in CSV_FIELDS)
+    with _open_csv(path) as handle:
+        reader = csv.reader(handle)
+        _check_header(next(reader, None))
+        for columns in _chunks(reader):
+            for part, column, index, new in zip(parts, columns, indexes, news):
+                part.append(_code(column, index, new))
+    tasks, annotators, labels, golds = map(np.concatenate, parts)
+    return AnnotationTable(
+        task_ids=tuple(task_ids), annotator_ids=tuple(annotator_ids),
+        tasks=tasks, annotators=annotators, labels=labels, golds=golds,
+        has_gold=golds != 0,  # a gold read is a class in 1..K; 0 marks none
+    )
 
 
 def estimate_confusion(
-    records: Sequence[AnnotationRecord],
+    records: AnnotationTable | Sequence[AnnotationRecord],
     settings: IngestSettings,
     num_classes: int,
 ) -> tuple[ConfusionMatrix, IngestReport]:
-    """Pooled confusion-matrix estimate with participation filtering."""
+    """Pooled confusion-matrix estimate with participation filtering. Records
+    that are not a table are made into one, ids taken as they are."""
     if num_classes < 2:
         raise IngestError("need at least two classes")
-    golded = [r for r in records if r.gold_label is not None]
-    gold_tasks = {r.task_id for r in golded}
-    if not golded:
+    table = (records if isinstance(records, AnnotationTable)
+             else AnnotationTable.from_records(records))
+    golded = table.has_gold
+    golded_records = int(np.count_nonzero(golded))
+    if not golded_records:
         raise IngestError("no records carry a gold label")
-    min_required = settings.min_participation * len(gold_tasks)
-    per_annotator = Counter(r.annotator_id for r in golded)
-    dropped = {a for a, n in per_annotator.items() if n < min_required}
-    kept = [r for r in golded if r.annotator_id not in dropped]
-    if not kept:
+    gold_tasks = int(np.count_nonzero(np.bincount(table.tasks[golded])))
+    min_required = settings.min_participation * gold_tasks
+    per_annotator = np.bincount(table.annotators[golded], minlength=len(table.annotator_ids))
+    dropped = (per_annotator > 0) & (per_annotator < min_required)
+    kept = golded & ~dropped[table.annotators]
+    kept_records = int(np.count_nonzero(kept))
+    if not kept_records:
         raise IngestError("participation filter removed every record")
     shape = (num_classes, num_classes)
-    # attrgetter reads a named tuple's fields in C, twice as fast as a genexpr
     cells = np.ravel_multi_index(  # raises on a label outside 1..num_classes
-        (np.fromiter(map(attrgetter("gold_label"), kept), np.int64, len(kept)) - 1,
-         np.fromiter(map(attrgetter("label"), kept), np.int64, len(kept)) - 1), shape)
+        (table.golds[kept] - 1, table.labels[kept] - 1), shape)
     tally = np.bincount(cells, minlength=num_classes**2).reshape(shape)
     counts = tally + float(settings.smoothing)
     row_sums = counts.sum(axis=1)
@@ -183,12 +319,13 @@ def estimate_confusion(
         )
     matrix = ConfusionMatrix(counts / row_sums[:, None])
     report = IngestReport(
-        total_records=len(records),
-        records_without_gold=len(records) - len(golded),
-        dropped_annotators=tuple(sorted(dropped)),
-        dropped_records=len(golded) - len(kept),
-        kept_records=len(kept),
-        gold_task_count=len(gold_tasks),
+        total_records=len(table),
+        records_without_gold=len(table) - golded_records,
+        dropped_annotators=tuple(sorted(
+            map(table.annotator_ids.__getitem__, np.flatnonzero(dropped).tolist()))),
+        dropped_records=golded_records - kept_records,
+        kept_records=kept_records,
+        gold_task_count=gold_tasks,
         min_records_required=int(np.ceil(min_required)),
         row_counts=tuple(int(n) for n in tally.sum(axis=1)),
     )

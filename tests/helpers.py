@@ -206,3 +206,44 @@ def reference_synthesize_records(confusion, num_records, num_tasks, num_annotato
                 )
             )
     return records
+
+
+def reference_estimate_confusion(records, settings, num_classes):
+    """The per-record estimator `ingest.estimate_confusion` replaced, kept as
+    the reference its matrix and report must equal."""
+    if num_classes < 2:
+        raise fs.IngestError("need at least two classes")
+    golded = [r for r in records if r.gold_label is not None]
+    gold_tasks = {r.task_id for r in golded}
+    if not golded:
+        raise fs.IngestError("no records carry a gold label")
+    min_required = settings.min_participation * len(gold_tasks)
+    per_annotator = Counter(r.annotator_id for r in golded)
+    dropped = {a for a, n in per_annotator.items() if n < min_required}
+    kept = [r for r in golded if r.annotator_id not in dropped]
+    if not kept:
+        raise fs.IngestError("participation filter removed every record")
+    tally = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for r in kept:
+        if not (1 <= r.gold_label <= num_classes and 1 <= r.label <= num_classes):
+            raise ValueError(f"record {r} has a label outside 1..{num_classes}")
+        tally[r.gold_label - 1, r.label - 1] += 1
+    counts = tally + float(settings.smoothing)
+    row_sums = counts.sum(axis=1)
+    for k, total in enumerate(row_sums, start=1):
+        if total <= 0:
+            raise fs.IngestError(
+                f"gold class {k} has no surviving records and no "
+                "smoothing; cannot normalize its row"
+            )
+    report = fs.IngestReport(
+        total_records=len(records),
+        records_without_gold=len(records) - len(golded),
+        dropped_annotators=tuple(sorted(dropped)),
+        dropped_records=len(golded) - len(kept),
+        kept_records=len(kept),
+        gold_task_count=len(gold_tasks),
+        min_records_required=int(np.ceil(min_required)),
+        row_counts=tuple(int(n) for n in tally.sum(axis=1)),
+    )
+    return fs.ConfusionMatrix(counts / row_sums[:, None]), report

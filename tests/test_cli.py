@@ -271,6 +271,15 @@ def test_estimate_cm_short_row_exits_1(tmp_path, capsys):
     assert err == "error: line 3: expected 4 fields, got 2\n"
 
 
+@pytest.mark.parametrize("k", ["0", "1", "-3"])
+def test_estimate_cm_k_below_two_exits_1_before_reading(tmp_path, capsys, k):
+    # the records file does not exist, so reading it would exit 2
+    code = main(["estimate-cm", str(tmp_path / "absent.csv"), "--k", k])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: --k must be at least 2, got {k}\n"
+
+
 def test_estimate_cm_label_map(tmp_path):
     csv_path = tmp_path / "records.csv"
     csv_path.write_text(

@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import feedsim as fs
 import helpers
+from feedsim import ingest
 from feedsim.ingest import synthesize_records, write_annotation_csv
 
 
@@ -141,7 +146,7 @@ def test_records_read_back_equal_the_synthesized_ones(tmp_path, ref_config):
                                  low_participation_annotator="lurker")
     path = tmp_path / "records.csv"
     write_annotation_csv(records, path)
-    assert fs.read_annotation_csv(path, fs.IngestSettings(), 5) == records
+    assert fs.read_annotation_csv(path, fs.IngestSettings(), 5).records() == records
     assert hash(records[0]) == hash(rec(*records[0]))
     with pytest.raises(AttributeError):
         records[0].label = 1
@@ -154,8 +159,8 @@ def test_csv_with_a_byte_order_mark_reads_the_same_records(tmp_path):
     marked.write_text(text, encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     settings = fs.IngestSettings()
-    assert (fs.read_annotation_csv(marked, settings, 2)
-            == fs.read_annotation_csv(plain, settings, 2)
+    assert (fs.read_annotation_csv(marked, settings, 2).records()
+            == fs.read_annotation_csv(plain, settings, 2).records()
             == [rec("t1", "a", 1, 2), rec("t2", "b", 2, None)])
 
 
@@ -168,9 +173,9 @@ def test_csv_round_trip_with_label_map(tmp_path):
         "t3,b,neg,\n"
     )
     settings = fs.IngestSettings(label_map={"pos": 1, "neg": 2})
-    records = fs.read_annotation_csv(path, settings, 2)
-    assert records[2].gold_label is None
-    matrix, report = fs.estimate_confusion(records, settings, 2)
+    table = fs.read_annotation_csv(path, settings, 2)
+    assert table.records()[2].gold_label is None
+    matrix, report = fs.estimate_confusion(table, settings, 2)
     assert np.array_equal(matrix.entries, np.eye(2))
     assert report.records_without_gold == 1
 
@@ -180,7 +185,7 @@ def test_csv_write_read_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     write_annotation_csv(records, path)
     back = fs.read_annotation_csv(path, fs.IngestSettings(), 2)
-    assert back == records
+    assert back.records() == records
 
 
 def test_csv_write_failing_partway_leaves_no_file(tmp_path):
@@ -209,7 +214,8 @@ def test_csv_rejects_bad_header_and_labels(tmp_path):
         fs.read_annotation_csv(not_int, fs.IngestSettings(), 2)
 
 
-@pytest.mark.parametrize("row,got", [("t2,a2", 2), ("t2,a2,1,1,extra", 5), (" ", 1)])
+@pytest.mark.parametrize("row,got", [("t2,a2", 2), ("t2,a2,1,1,extra", 5), (" ", 1),
+                                     ("t2,a2,1\nt3,a3,1,1,x", 3)])
 def test_csv_row_with_wrong_field_count_is_an_error(tmp_path, row, got):
     path = tmp_path / "short.csv"
     path.write_text(f"task_id,annotator_id,label,gold_label\nt1,a1,1,1\n{row}\n")
@@ -236,15 +242,97 @@ def test_csv_records_share_id_strings_and_skip_blank_lines(tmp_path):
         "task_id,annotator_id,label,gold_label\n"
         " t1 ,a,1,2\n\nt1,a,2, 2 \n t1 ,b,1,\n"
     )
-    records = fs.read_annotation_csv(path, fs.IngestSettings(), 2)
+    records = fs.read_annotation_csv(path, fs.IngestSettings(), 2).records()
     assert records == [
         rec("t1", "a", 1, 2), rec("t1", "a", 2, 2), rec("t1", "b", 1, None)]
     assert records[0].task_id is records[2].task_id
     assert records[0].annotator_id is records[1].annotator_id
 
 
-@pytest.mark.parametrize("label", [0, 3])
-def test_out_of_range_record_label_is_an_error(label):
-    records = [rec("t1", "a", 1, 1), rec("t2", "a", label, 2)]
+@pytest.mark.parametrize("label,gold", [(0, 2), (3, 2), (1, 0), (1, 3)],
+                         ids=["0", "3", "gold-0", "gold-3"])
+def test_out_of_range_record_label_is_an_error(label, gold):
+    # a gold of 0 is out of range, not a missing gold; without the bad record
+    # the estimate succeeds
+    records = [rec("t1", "a", 1, 1), rec("t2", "a", 2, 2), rec("t3", "a", label, gold)]
     with pytest.raises(ValueError):
         fs.estimate_confusion(records, fs.IngestSettings(), 2)
+
+
+def test_first_bad_row_in_a_chunk_is_named(tmp_path):
+    path = tmp_path / "two_errors.csv"
+    path.write_text("task_id,annotator_id,label,gold_label\n"
+                    "t1,a,1,1\nt2,a,9,1\nt3,a,1,1\nt4,a\nt5,a,1,1\n")
+    with pytest.raises(fs.IngestError, match="^line 3: label 9 out of range"):
+        fs.read_annotation_csv(path, fs.IngestSettings(), 2)
+    both = tmp_path / "bad_label_and_gold.csv"
+    both.write_text("task_id,annotator_id,label,gold_label\nt1,a,9,8\n")
+    with pytest.raises(fs.IngestError, match="^line 2: label 8 out of range"):
+        fs.read_annotation_csv(both, fs.IngestSettings(), 2)
+
+
+def test_small_chunks_read_the_same_and_name_the_same_lines(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_CHUNK", 2)
+    settings = fs.IngestSettings()
+    header = "task_id,annotator_id,label,gold_label\n"
+    rows = [f"t{i},a{i % 3},{1 + i % 2},{1 + i % 2}\n" for i in range(9)]
+    late = tmp_path / "late.csv"
+    late.write_text(header + "".join(rows[:5]) + "t5,a,9,1\n" + "".join(rows[5:]))
+    with pytest.raises(fs.IngestError, match="^line 7: label 9 out of range"):
+        fs.read_annotation_csv(late, settings, 2)
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(
+        'task_id,annotator_id,label,gold_label\n"t1\nsecond line",a,1,1\nt2,a,9,1\n'
+    )
+    with pytest.raises(fs.IngestError, match="^line 4: label 9 out of range"):
+        fs.read_annotation_csv(quoted, settings, 2)
+    # a run of blank lines longer than a chunk does not end the read
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text(header + "".join(rows[:3]) + "\n" * 5 + "".join(rows[3:]))
+    plain = tmp_path / "plain.csv"
+    plain.write_text(header + "".join(rows))
+    table = fs.read_annotation_csv(gapped, settings, 2)
+    assert len(table) == 9
+    assert table.records() == fs.read_annotation_csv(plain, settings, 2).records()
+
+
+def _padded(ids):
+    return st.builds("{}{}{}".format, st.sampled_from(["", " ", "  "]),
+                     st.sampled_from(ids), st.sampled_from(["", " "]))
+
+
+_records = st.lists(st.builds(
+    fs.AnnotationRecord, _padded(["t1", "t2", "t3", "t4"]), _padded(["a", "b", "c"]),
+    st.integers(1, 3), st.none() | st.integers(1, 3)), max_size=25)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=_records, gaps=st.sets(st.integers(1, 26)),
+       chunk=st.sampled_from([1, 2, 3, ingest._CHUNK]),
+       smoothing=st.sampled_from([0.0, 0.5]))
+def test_read_table_matches_the_stripped_records(tmp_path, records, gaps, chunk, smoothing):
+    path = tmp_path / "records.csv"
+    write_annotation_csv(records, path)
+    lines = path.read_bytes().split(b"\r\n")
+    for at in sorted(gaps, reverse=True):
+        lines.insert(at, b"")  # a blank line; the header stays first
+    path.write_bytes(b"\r\n".join(lines))
+    stripped = [r._replace(task_id=r.task_id.strip(), annotator_id=r.annotator_id.strip())
+                for r in records]
+    settings_ = fs.IngestSettings(min_participation=0.3, smoothing=smoothing)
+    with mock.patch.object(ingest, "_CHUNK", chunk):
+        table = fs.read_annotation_csv(path, settings_, 3)
+    assert len(table) == len(records)
+    assert table.records() == stripped
+
+    def outcome(estimate, source):
+        try:
+            matrix, report = estimate(source, settings_, 3)
+        except fs.IngestError as exc:
+            return str(exc)
+        return matrix.entries.tolist(), report
+
+    assert (outcome(fs.estimate_confusion, table)
+            == outcome(fs.estimate_confusion, stripped)
+            == outcome(helpers.reference_estimate_confusion, stripped))
