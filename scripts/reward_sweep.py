@@ -30,7 +30,6 @@ def main() -> int:
     args = parser.parse_args()
 
     config = fs.load_config(args.config)
-    fs.require_valid(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -28,8 +28,6 @@ from .model import (
     config_from_dict,
     load_config,
     read_config_document,
-    require_valid,
-    validate_config,
     write_text_atomic,
 )
 from .payoff import EXACT, METHODS, PayoffQuery, expected_payoff_exact, \
@@ -90,26 +88,26 @@ def _parse_d_list(text: str) -> list[float]:
 
 
 def _parse_label_map(text: str) -> dict[str, int]:
-    """A JSON object mapping raw labels to integer class indices."""
+    """A JSON object mapping raw labels to integer class indices (not bools)."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ConfigFormatError("--label-map must be a JSON object")
-    try:
-        return {str(k): int(v) for k, v in doc.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigFormatError("--label-map values must be integer class indices") from exc
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in doc.values()):
+        raise ConfigFormatError("--label-map values must be integer class indices")
+    return doc
 
 
 def cmd_validate(args) -> int:
-    config = load_config(args.config, renormalize=args.renormalize)
-    report = validate_config(config)
+    try:
+        report = load_config(args.config, renormalize=args.renormalize).report
+    except InvalidConfigError as exc:
+        report = exc.report
     print(report)
     return 0 if report.is_valid else 1
 
 
 def cmd_payoff(args) -> int:
     config = load_config(args.config)
-    require_valid(config)
     stake = config.user(args.user).total_stake
     query = PayoffQuery(
         config=config,
@@ -130,7 +128,6 @@ def cmd_payoff(args) -> int:
 
 def cmd_solve_d(args) -> int:
     config = load_config(args.config)
-    require_valid(config)
     settings = SolverSettings(epsilon=args.epsilon, d_max=args.d_max)
     diagnostics = {} if args.diagnostics else None
     if args.from_oracle_stakes:
@@ -161,7 +158,6 @@ def cmd_solve_d(args) -> int:
 def cmd_sweep(args) -> int:
     doc = read_config_document(args.config)
     config = config_from_dict(doc)
-    require_valid(config)
     spec = experiment_from_dict(
         config,
         doc.get("experiment"),

@@ -227,18 +227,21 @@ def _check_rows(path, settings: IngestSettings, num_classes: int) -> None:
     valid: set[str] = set()  # raw labels already mapped
     with _open_csv(path) as handle:
         reader = csv.reader(handle)
-        _check_header(next(reader, None))
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(CSV_FIELDS):
-                raise IngestError(f"line {reader.line_num}: expected "
-                                  f"{len(CSV_FIELDS)} fields, got {len(row)}")
-            _, _, label, gold = row
-            for raw in (gold, label) if gold.strip() else (label,):
-                if raw not in valid:
-                    _map_label(raw, settings, num_classes, f"line {reader.line_num}")
-                    valid.add(raw)
+        try:
+            _check_header(next(reader, None))
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(CSV_FIELDS):
+                    raise IngestError(f"line {reader.line_num}: expected "
+                                      f"{len(CSV_FIELDS)} fields, got {len(row)}")
+                _, _, label, gold = row
+                for raw in (gold, label) if gold.strip() else (label,):
+                    if raw not in valid:
+                        _map_label(raw, settings, num_classes, f"line {reader.line_num}")
+                        valid.add(raw)
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise IngestError(f"line {reader.line_num}: {exc}") from exc
 
 
 def read_annotation_csv(path, settings: IngestSettings,

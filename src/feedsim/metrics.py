@@ -26,7 +26,6 @@ from .model import (
     ConfigFormatError,
     Strategy,
     SystemConfig,
-    require_valid,
     resolve_strategies,
     write_text_atomic,
 )
@@ -74,7 +73,6 @@ class ExperimentSpec:
         put("d_values", _numbers(self.d_values, "d_values", Real))
         put("samples", _number(self.samples, "samples", Integral))
         put("seed", _number(self.seed, "seed", Integral))
-        require_valid(self.config)
         user = self.config.user(self.focal_user)
         stake = user.total_stake
         if self.c_values is None:
@@ -143,7 +141,6 @@ def error_rate_exact(
 
     Independent of the reward exponent: only oracle counts matter.
     """
-    require_valid(config)
     resolved = resolve_strategies(config, strategies)
     # any user with the most oracles leaves the same rivals: user order cannot matter
     focal = max(resolved, key=lambda u: resolved[u].oracle_count)
@@ -158,7 +155,6 @@ def error_rate_mc(
     seed: int = DEFAULT_SEED,
 ) -> tuple[float, float]:
     """Sampled estimate of the error rate with its standard error."""
-    require_valid(config)
     resolved = resolve_strategies(config, strategies)
     return _montecarlo.error_rate_mc_core(
         config.confusion.entries,

@@ -6,11 +6,11 @@ is the probability that an oracle reports class l when the truth is k.
 Stakes are positive integers in units of the minimum stake (normalized
 to 1), so oracle counts and stake splits live on an integer lattice.
 
-Types are plain containers: construction checks shapes and types, while
-numeric invariants (row sums, prior normalization, stake bounds) are
-checked by :func:`validate_config`, which reports every violation instead
-of stopping at the first. Operations that need a sound config call
-:func:`require_valid`.
+Construction checks shapes and types. A :class:`SystemConfig` also checks
+every numeric invariant (row sums, prior normalization, stake bounds) once,
+when it is built, and raises :class:`InvalidConfigError` carrying a report of
+every violation, not just the first: a config that exists is valid, and no
+operation checks it again.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -251,18 +251,23 @@ class Strategy:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full description of one data-feed network."""
+    """Full description of one data-feed network. Building it runs every
+    domain check, kept as `report`, and raises InvalidConfigError if any fails."""
 
     num_classes: int
     confusion: ConfusionMatrix
     users: tuple[UserProfile, ...]
     prior: ClassPrior = None  # defaults to uniform over num_classes
     total_reward: float = 1.0
+    report: ValidationReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "users", tuple(self.users))
-        if self.prior is None:
-            object.__setattr__(self, "prior", ClassPrior.uniform(self.num_classes))
+        # a num_classes the matrix disagrees with is reported, never allocated
+        if self.prior is None and self.num_classes == self.confusion.num_classes:
+            object.__setattr__(self, "prior", ClassPrior.uniform(self.confusion.num_classes))
+        object.__setattr__(self, "report", _check(self))
+        require_valid(self)
 
     @property
     def num_users(self) -> int:
@@ -321,7 +326,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_config(config: SystemConfig) -> ValidationReport:
+def _check(config: SystemConfig) -> ValidationReport:
     """Check every domain invariant and report all violations found."""
     out: list[str] = []
     k = config.num_classes
@@ -332,10 +337,11 @@ def validate_config(config: SystemConfig) -> ValidationReport:
             f"confusion matrix is {config.confusion.num_classes}x"
             f"{config.confusion.num_classes} but num_classes is {k}"
         )
-    if config.prior.num_classes != k:
-        out.append(f"prior has {config.prior.num_classes} entries, expected {k}")
+    prior = config.prior  # None when num_classes disagrees with the matrix
+    if prior is not None and prior.num_classes != k:
+        out.append(f"prior has {prior.num_classes} entries, expected {k}")
     out.extend(config.confusion.violations())
-    out.extend(config.prior.violations())
+    out.extend(prior.violations() if prior is not None else ())
     if not config.users:
         out.append("config has no users")
     for u in config.users:
@@ -353,10 +359,16 @@ def validate_config(config: SystemConfig) -> ValidationReport:
     return ValidationReport(tuple(out), config.confusion.is_weakly_accurate())
 
 
+def validate_config(config: SystemConfig) -> ValidationReport:
+    """The report of the check `config` passed when it was built."""
+    return config.report
+
+
 def require_valid(config: SystemConfig) -> None:
-    report = validate_config(config)
-    if not report.is_valid:
-        raise InvalidConfigError(report)
+    """Raise InvalidConfigError unless `config`'s report is valid: building a
+    config calls this, so one that exists always passes."""
+    if not config.report.is_valid:
+        raise InvalidConfigError(config.report)
 
 
 def sample_report(
@@ -416,7 +428,7 @@ def config_from_dict(doc: Mapping, renormalize: bool = False) -> SystemConfig:
     """Build a SystemConfig from a parsed document.
 
     Structural problems raise ConfigFormatError; numeric invariant violations
-    are left for validate_config so they can all be reported together.
+    are all reported together by the built config's InvalidConfigError.
     """
     try:
         num_classes = doc["num_classes"]

@@ -24,7 +24,7 @@ from ._montecarlo import spawn_seed
 from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
 from .enumeration import DEFAULT_BUDGET, ExactEnumerator
 from .incentive import allocation_factor, stake_power
-from .model import Strategy, SystemConfig, require_valid, resolve_strategies
+from .model import Strategy, SystemConfig, resolve_strategies
 
 EXACT = "exact"
 MONTE_CARLO = "monte_carlo"
@@ -55,7 +55,6 @@ class PayoffQuery:
 
     def resolved_strategies(self) -> dict[int, Strategy]:
         """Per-user strategies with defaults filled in; validates feasibility."""
-        require_valid(self.config)
         if self.d < 1.0:
             raise ValueError(f"exponent must be >= 1, got {self.d!r}")
         self.config.user(self.focal_user)  # raises on unknown id
@@ -164,7 +163,6 @@ def concentrated_payoffs(
     Rivals run single full-stake oracles. A scalar `d` gives one payoff per
     count; a sequence of exponents gives one row of them per exponent.
     """
-    require_valid(config)
     stake = config.user(focal_user).total_stake
     counts = [int(c) for c in oracle_counts]
     for c in counts:  # the bounds of `optimal_allocation`, without building one

@@ -11,7 +11,7 @@ With the engine's canonical group order, the lowest-id user of a stake only
 sets the call count: any user of that stake gets the same payoffs.
 Once the engine refuses a block as over its cell budget, each check is two
 Monte Carlo runs, and sampled rows go one at a time, starting from the last
-violation seen and, under `fail_fast`, stopping at the first.
+violation seen and stopping at the first.
 
 A variant accepts the observed per-oracle stake vector in place of the
 (unobservable) per-user staking powers; when every user actually runs one
@@ -37,7 +37,6 @@ from .model import (
     Strategy,
     SystemConfig,
     UserProfile,
-    require_valid,
 )
 from .payoff import PayoffQuery, _concentrated, expected_payoff_mc, single_oracle_rivals
 
@@ -49,16 +48,11 @@ _MIN_EPSILON = 10.0 ** -_GRID_DECIMALS
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Grid parameters and evaluation policy for the exponent search.
-
-    `fail_fast` is ignored when the exact engine accepts the search within
-    `enumeration_budget` float64 cells: exact rows are always complete.
-    """
+    """Grid parameters and evaluation policy for the exponent search."""
 
     epsilon: float = 0.01
     d_max: float = 16.0
     starting_d: float = 1.0
-    fail_fast: bool = True            # Monte Carlo only: end a sampled row at its first violation
     enumeration_budget: int = DEFAULT_BUDGET
     mc_samples: int = 1_000_000
     mc_margin: float = 4.0            # stderr multiples before a sampled check counts as violated
@@ -232,8 +226,8 @@ class _Gaps:
 
         Rows are exact until the engine refuses a block, then sampled. A
         sampled row starts from the last violation seen and ends at its
-        first violation under `fail_fast`; the last grid row is always
-        complete, so an exhausted search can name its tightest violation.
+        first violation; the last grid row is always complete, so an
+        exhausted search can name its tightest violation.
         """
         index = 0
         while ds := [d for d in map(self.grid_d, range(index, index + _BLOCK_ROWS))
@@ -250,13 +244,13 @@ class _Gaps:
             d = self.grid_d(index)
             if d is None:
                 return
-            fail_fast = self.settings.fail_fast and self.grid_d(index + 1) is not None
+            more_rows = self.grid_d(index + 1) is not None
             checks = {}
             for pair in sorted(self.deviations, key=lambda pair: pair != warm):
                 single, mirror = checks[pair] = self.mc_check(*pair, d, index)
                 if mirror > single:
                     warm = pair
-                    if fail_fast:
+                    if more_rows:
                         break
             pairs = [pair for pair in self.deviations if pair in checks]
             yield _Row(d, pairs, [checks[pair] for pair in pairs])
@@ -268,7 +262,6 @@ def verify_nash(
     settings: SolverSettings | None = None,
 ) -> NashCertificate:
     """Check every unilateral mirroring deviation at a given exponent."""
-    require_valid(config)
     if d < 1.0:
         raise ValueError(f"exponent must be >= 1, got {d!r}")
     gaps = _Gaps(config, settings or SolverSettings())
@@ -293,7 +286,6 @@ def find_d_opt(
     (user, oracle count) pair across increasing d.
     """
     settings = settings or SolverSettings()
-    require_valid(config)
     visited = []  # kept only for diagnostics: a row holds every deviation's payoffs
     # with no user able to afford a second oracle, the first row holds vacuously
     for row in _Gaps(config, settings).rows():

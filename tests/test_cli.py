@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import time
@@ -46,6 +47,30 @@ def test_validate_domain_violation_exits_1(tmp_path, capsys):
     )
     assert main(["validate", str(path)]) == 1
     assert "row 2 sums to 0.9" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("num_classes,violations", [
+    (0, ["num_classes 0 must be a positive integer",
+         "confusion matrix is 5x5 but num_classes is 0"]),
+    (-2, ["num_classes -2 must be a positive integer",
+          "confusion matrix is 5x5 but num_classes is -2"]),
+    (10**12, ["confusion matrix is 5x5 but num_classes is 1000000000000"]),
+    (6, ["confusion matrix is 5x5 but num_classes is 6"]),
+])
+def test_validate_reports_a_num_classes_the_matrix_disagrees_with(
+        tmp_path, capsys, ref_config_path, num_classes, violations):
+    """amt10 has no prior, and none is built from a num_classes that differs
+    from the matrix's size: the report names num_classes and nothing else."""
+    doc = json.loads(ref_config_path.read_text())
+    assert "prior" not in doc
+    doc["num_classes"] = num_classes
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"violation: {v}" for v in violations] + [
+        "valid: no", "weakly accurate: yes"]
+    assert err == ""
 
 
 def test_validate_unreadable_exits_2(tmp_path, capsys):
@@ -271,6 +296,17 @@ def test_estimate_cm_short_row_exits_1(tmp_path, capsys):
     assert err == "error: line 3: expected 4 fields, got 2\n"
 
 
+def test_estimate_cm_field_over_the_csv_limit_names_its_line(tmp_path, capsys):
+    """A field longer than the csv module's limit is a row error like any
+    other; the quoted newline before it counts as a physical line."""
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text("task_id,annotator_id,label,gold_label\n"
+                        f't1,"a\nb",1,1\nt2,{"x" * 200_000},1,1\n')
+    assert main(["estimate-cm", str(csv_path), "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: line 4: field larger than field limit ({csv.field_size_limit()})\n"
+
+
 @pytest.mark.parametrize("k", ["0", "1", "-3"])
 def test_estimate_cm_k_below_two_exits_1_before_reading(tmp_path, capsys, k):
     # the records file does not exist, so reading it would exit 2
@@ -342,7 +378,8 @@ def test_ill_formed_prior_exits_2(tmp_path, capsys, ref_config_path, command, pr
     assert_one_line_exit_2(code, capsys, "prior")
 
 
-@pytest.mark.parametrize("label_map", ["[1]", '"x"', '{"yes": null}'])
+@pytest.mark.parametrize("label_map", ["[1]", '"x"', '{"yes": null}', '{"yes": true}',
+                                       '{"yes": 1.7}', '{"yes": "1"}'])
 def test_estimate_cm_ill_formed_label_map_exits_2(tmp_path, capsys, label_map):
     csv_path = tmp_path / "records.csv"
     csv_path.write_text("task_id,annotator_id,label,gold_label\nt1,a,yes,yes\n")

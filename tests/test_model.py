@@ -56,12 +56,13 @@ def test_identity_matrix_valid_and_weakly_accurate():
 
 def test_bad_row_sum_reported():
     matrix = [[1.0, 0.0], [0.4, 0.5]]
-    cfg = fs.SystemConfig(
-        num_classes=2,
-        confusion=fs.ConfusionMatrix(matrix),
-        users=(fs.UserProfile(1, 1),),
-    )
-    report = fs.validate_config(cfg)
+    with pytest.raises(fs.InvalidConfigError) as caught:
+        fs.SystemConfig(
+            num_classes=2,
+            confusion=fs.ConfusionMatrix(matrix),
+            users=(fs.UserProfile(1, 1),),
+        )
+    report = caught.value.report
     assert not report.is_valid
     assert any("row 2 sums to 0.9" in v for v in report.violations)
 
@@ -76,28 +77,53 @@ def test_prior_defaults_to_uniform():
 
 
 def test_bad_prior_and_stakes_reported():
-    cfg = fs.SystemConfig(
-        num_classes=2,
-        confusion=fs.ConfusionMatrix.identity(2),
-        users=(fs.UserProfile(1, 0), fs.UserProfile(1, 2)),
-        prior=fs.ClassPrior([0.7, 0.7]),
-    )
-    report = fs.validate_config(cfg)
-    text = "\n".join(report.violations)
+    with pytest.raises(fs.InvalidConfigError) as caught:
+        fs.SystemConfig(
+            num_classes=2,
+            confusion=fs.ConfusionMatrix.identity(2),
+            users=(fs.UserProfile(1, 0), fs.UserProfile(1, 2)),
+            prior=fs.ClassPrior([0.7, 0.7]),
+        )
+    text = "\n".join(caught.value.report.violations)
     assert "prior sums to" in text
     assert "below the minimum stake" in text
     assert "not unique" in text
-    with pytest.raises(fs.InvalidConfigError):
-        fs.require_valid(cfg)
 
 
 def test_non_contiguous_user_ids_reported():
-    cfg = fs.SystemConfig(
-        num_classes=2,
-        confusion=fs.ConfusionMatrix.identity(2),
-        users=(fs.UserProfile(1, 1), fs.UserProfile(3, 1)),
-    )
-    assert any("contiguous" in v for v in fs.validate_config(cfg).violations)
+    with pytest.raises(fs.InvalidConfigError) as caught:
+        fs.SystemConfig(
+            num_classes=2,
+            confusion=fs.ConfusionMatrix.identity(2),
+            users=(fs.UserProfile(1, 1), fs.UserProfile(3, 1)),
+        )
+    assert any("contiguous" in v for v in caught.value.report.violations)
+
+
+def test_a_config_is_checked_once_when_it_is_built(monkeypatch, ref_config_path):
+    """Each run of the check builds one ValidationReport: loading amt10 runs
+    it, and answering every question on the config runs it never again."""
+    reports = []
+    report_type = fs.model.ValidationReport
+
+    def counted(*args):
+        reports.append(report_type(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(fs.model, "ValidationReport", counted)
+    config = fs.load_config(ref_config_path)
+    assert len(reports) == 1
+    assert fs.find_d_opt(config)[0] == 2.28
+    assert fs.verify_nash(config, 2.28).satisfied
+    fs.run_experiment(fs.ExperimentSpec(config, 1, range(1, 9), (1.0, 2.28)))
+    query = fs.PayoffQuery(config, 1, fs.optimal_allocation(8, 2), 2.28)
+    fs.expected_payoff_exact(query)
+    fs.expected_payoff_mc(query, samples=1000, seed=1)
+    fs.error_rate_exact(config)
+    fs.error_rate_mc(config, samples=1000, seed=1)
+    fs.require_valid(config)
+    assert fs.validate_config(config) is config.report is reports[0]
+    assert len(reports) == 1
 
 
 def test_renormalize_is_explicit_opt_in():

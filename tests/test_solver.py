@@ -95,13 +95,12 @@ def test_find_d_opt_with_equal_stakes_matches_bruteforce_grid(stakes):
 
 
 def test_sampled_partial_rows_report_their_reversals():
-    """Under fail_fast a sampled row stops at its first violation; the
+    """A sampled row stops at its first violation; the
     reversals still follow from the evaluations recorded. Few samples and no
     noise margin make checks near the answer flip between rows."""
     cfg = helpers.symmetric_binary_config([3, 2, 1])
     settings = fs.SolverSettings(
         epsilon=0.02, enumeration_budget=1, mc_samples=300, mc_margin=0.0, seed=2,
-        fail_fast=True,
     )
     diag = {}
     fs.find_d_opt(cfg, settings, diagnostics=diag)
@@ -223,7 +222,7 @@ def test_no_pass_then_fail_reversals_on_full_sweeps(seed):
     cfg = helpers.random_solvable_config(rng, max_users=3)
     diag = {}
     d_opt, _ = fs.find_d_opt(
-        cfg, fs.SolverSettings(epsilon=0.05, d_max=24.0, fail_fast=False),
+        cfg, fs.SolverSettings(epsilon=0.05, d_max=24.0),
         diagnostics=diag,
     )
     assert diag["reversals"] == []
