@@ -31,6 +31,7 @@ class.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -113,7 +114,10 @@ def _split(matched: np.ndarray, factors: np.ndarray, payee) -> np.ndarray:
     """Each round's share of the reward for `payee` (an index or a slice of
     `factors`): its factor over the summed factors of the payees that matched,
     or 0 where it did not match. `matched` is one round's (payees,) mask or a
-    (rounds, payees) one."""
+    (rounds, payees) one. Factors whose sum overflows are divided by their
+    largest first: a share is scale-free."""
+    if not math.isfinite(sum(factors.tolist())):  # a float sum: inf with no warning
+        factors = factors / factors.max()
     return np.where(matched[..., payee], factors[payee] / (matched @ factors), 0.0)
 
 

@@ -12,8 +12,9 @@ against the best rival class, ties split uniformly) is summed per k into a
 table that is built once per focal oracle count from the multinomial report
 counts of each group; it depends on neither d nor the factors. A state's
 standings (`_standings`) are found once for all counts, and a count is one
-`bincount`: about 0.23 ms per amt10 count on a 2-core machine. A query
-groups the rivals by (multiplicity, factor), in sorted order, sums
+`bincount`: about 0.23 ms per amt10 count on a 2-core machine. A finished
+table is divided once per k by the rival sets behind k, prod_g C(n_g, k_g).
+A query groups the rivals by (multiplicity, factor), in sorted order, sums
 f / (f + M) over every split of the matching rivals across those groups,
 weighted by the number of rival sets with that split (M is the split's
 factor sum), and contracts with the table in a fixed-order `einsum`. The
@@ -37,7 +38,7 @@ about 0.45 ms, or 50 ms with every user mirroring at full stake (149 735
 vectors).
 
 A query is priced in the float64 cells it would build, from the group sizes
-alone, and refused over the budget before anything is allocated: amt10's
+alone, and refused over `_BUDGET` before anything is allocated: amt10's
 largest solver call costs 6.9e4 cells, 12 to 40 users at K = 5 1.3e5 to 1.2e8.
 A query pays only for the win tables of counts its engine has not built yet.
 
@@ -57,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-DEFAULT_BUDGET = 10**9
+_BUDGET = 10**9  # float64 cells a query may build
 _BLOCK = 1 << 16  # (class, state) or (row, count, split) cells per pass: stays in cache
 
 
@@ -106,7 +107,6 @@ class ExactEnumerator:
         confusion: np.ndarray,
         prior: np.ndarray,
         rival_multiplicities: Sequence[int],
-        budget: int = DEFAULT_BUDGET,
     ):
         self.confusion = np.ascontiguousarray(confusion, dtype=np.float64)
         self.prior = np.ascontiguousarray(prior, dtype=np.float64)
@@ -124,14 +124,13 @@ class ExactEnumerator:
         truth_weight = self.prior[:, None] * self.confusion
         self._all_match = bool(np.all((self.confusion == 1.0) | (truth_weight == 0.0)))
         self._win: dict[int, np.ndarray] = {}
-        self.budget = budget
 
     def _afford(self, cells: int) -> None:
-        """Refuse a query that would build more than `budget` float64 cells."""
-        if cells > self.budget:
+        """Refuse a query that would build more than `_BUDGET` float64 cells."""
+        if cells > _BUDGET:
             raise EnumerationBudgetError(
                 f"exact enumeration needs {cells} cells, over the budget of "
-                f"{self.budget}; use the Monte Carlo estimator instead"
+                f"{_BUDGET}; use the Monte Carlo estimator instead"
             )
 
     # -- tables -------------------------------------------------------------
@@ -143,12 +142,11 @@ class ExactEnumerator:
         return np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], float)
 
     @functools.cached_property
-    def _groups(self) -> tuple[list, list, list]:
+    def _groups(self) -> tuple[list, list]:
         """Per multiplicity group: its report counts per class (one row per
-        composition), their probability per truth, and the number of rival
-        sets behind each count."""
+        composition) and their probability per truth."""
         binom = self._binomials
-        comps, probs, divisors = [], [], []
+        comps, probs = [], []
         for n in self.group_sizes:
             comp = _compositions(n, self.num_classes)
             # the multinomial, class by class: choose x_j of the reports not yet placed
@@ -156,40 +154,42 @@ class ExactEnumerator:
             coef = binom[unplaced, comp].prod(axis=1)
             comps.append(comp)
             probs.append(coef * np.prod(self.confusion[:, None, :] ** comp, axis=2))
-            divisors.append(binom[n, comp])
-        return comps, probs, divisors
+        return comps, probs
 
     def _win_tables(self, counts: list[int]) -> None:
         """Per-k win mass for each count in `counts`, summed over truth and v.
 
         A state fixes how many members of each multiplicity group report each
-        class. Its weight is divided by the number of rival sets behind its k
-        for v, so a query's split weights can count those sets instead. A
-        count's table is built the same way whatever counts share the call.
+        class. Its weight is added at its k for v, and a finished table is
+        divided once per k by the rival sets behind it, so a query's split
+        weights can count those sets instead. A count's table is built the
+        same way whatever counts share the call.
         """
         k = self.num_classes
         truth_weight = self.prior[:, None] * self.confusion  # (truth, report)
-        comps, probs, divisors = self._groups
+        comps, probs = self._groups
         # per group, (class, composition) tables that `take` gathers states from
-        parts = [[np.ascontiguousarray(a) for a in (p, m * c.T, self._k_stride[m] * c.T, d.T)]
-                 for m, c, p, d in zip(self.group_mults, comps, probs, divisors)]
+        parts = [(np.ascontiguousarray(p), np.ascontiguousarray(c.T), m, self._k_stride[m])
+                 for m, c, p in zip(self.group_mults, comps, probs)]
         tables = np.zeros((len(counts), self._k_size))
         for digits in _blocks([len(c) for c in comps], max(1, _BLOCK // k)):
             size = digits.shape[1]
-            prob, divisor = np.ones((k, size)), np.ones((k, size))
+            prob = np.ones((k, size))
             votes = np.zeros((k, size), dtype=np.int64)  # (class, state), like all below
             k_index = np.zeros((k, size), dtype=np.int64)
-            for (p, v, x, d), idx in zip(parts, digits):
+            for (p, c, m, stride), idx in zip(parts, digits):
                 prob *= np.take(p, idx, axis=1)
-                votes += np.take(v, idx, axis=1)
-                k_index += np.take(x, idx, axis=1)
-                divisor *= np.take(d, idx, axis=1)
-            weight = (truth_weight.T @ prob) / divisor
+                x = np.take(c, idx, axis=1)
+                votes += m * x
+                k_index += stride * x
+            weight = truth_weight.T @ prob
             lead, ties = _standings(votes)
             tied = weight / (1 + ties)
             for i, c in enumerate(counts):
                 win = np.where(lead > -c, weight, np.where(lead == -c, tied, 0.0))
                 tables[i] += np.bincount(k_index.ravel(), weights=win.ravel(), minlength=self._k_size)
+        k_digits = next(_blocks([n + 1 for n in self.group_sizes], self._k_size))
+        tables /= self._binomials[self.group_sizes, k_digits.T].prod(axis=1)
         self._win.update(zip(counts, tables))
 
     @functools.cached_property
@@ -211,7 +211,7 @@ class ExactEnumerator:
             total += m * n
             vectors = min(vectors * comps, math.comb(total + k - 1, k - 1))
         self._afford(cells)
-        comps, group_probs, _ = self._groups
+        comps, group_probs = self._groups
         dtype = np.min_scalar_type(sum(self.mults))
         votes = np.zeros((1, k), dtype=dtype)
         probs = np.ones((k, 1))
@@ -259,6 +259,13 @@ class ExactEnumerator:
             raise ValueError("focal oracle count must be >= 1")
         if rf.shape[1] != self.num_rivals:
             raise ValueError(f"expected {self.num_rivals} rival factors")
+        # a share is scale-free: divide a row whose factor total overflows by its largest
+        top = fs.max(axis=1, initial=0.0)
+        with np.errstate(over="ignore"):
+            over = ~np.isfinite(top + rf.sum(axis=1))
+        if over.any():
+            scale = np.where(over, np.maximum(top, rf.max(axis=1, initial=0.0)), 1.0)[:, None]
+            fs, rf = fs / scale, rf / scale
         # rivals whose factors agree on every row share a group, in sorted order
         groups = dict(sorted(Counter(zip(self.mults, map(tuple, rf.T.tolist()))).items()))
         sizes = np.array(list(groups.values()), dtype=np.int64)

@@ -193,6 +193,19 @@ def _open_csv(path):
     return Path(path).open(newline="", encoding="utf-8-sig")
 
 
+def _decoded_lines(handle) -> Iterator[str]:
+    """The physical lines of a binary `handle` as `_open_csv` reads them,
+    decoded one at a time, so that a byte that is not UTF-8 names its line
+    (the text reader decodes a whole buffer before csv sees any of its rows)."""
+    # split as newline="" does: at \n, \r and \r\n, endings kept
+    lines = chain.from_iterable(line.splitlines(keepends=True) for line in handle)
+    for number, line in enumerate(lines, 1):
+        try:
+            yield line.decode("utf-8-sig" if number == 1 else "utf-8")
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"line {number}: {exc}") from exc
+
+
 def _check_header(header: list[str] | None) -> None:
     if header is None or tuple(header) != CSV_FIELDS:
         raise IngestError(
@@ -225,8 +238,8 @@ def _check_rows(path, settings: IngestSettings, num_classes: int) -> None:
     """Read `path` row by row and raise its first error, naming the physical
     line it ends on."""
     valid: set[str] = set()  # raw labels already mapped
-    with _open_csv(path) as handle:
-        reader = csv.reader(handle)
+    with Path(path).open("rb") as handle:
+        reader = csv.reader(_decoded_lines(handle))
         try:
             _check_header(next(reader, None))
             for row in reader:

@@ -289,7 +289,7 @@ class SystemConfig:
 
     @functools.cached_property
     def _engines(self) -> dict:
-        """This config's exact engines by (rival oracle counts, budget). Only
+        """This config's exact engines by rival oracle counts. Only
         `payoff.engine_for` fills it, and an engine lives as long as its config."""
         return {}
 

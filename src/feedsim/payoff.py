@@ -22,7 +22,7 @@ import numpy as np
 from . import _montecarlo
 from ._montecarlo import spawn_seed
 from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
-from .enumeration import DEFAULT_BUDGET, ExactEnumerator
+from .enumeration import ExactEnumerator
 from .incentive import allocation_factor, stake_power
 from .model import Strategy, SystemConfig, resolve_strategies
 
@@ -85,22 +85,20 @@ def optimal_allocation(total_stake: int, oracle_count: int) -> Strategy:
     return Strategy.concentrated(total_stake, oracle_count)
 
 
-def engine_for(
-    config: SystemConfig, rival_mults: Sequence[int], budget: int = DEFAULT_BUDGET
-) -> ExactEnumerator:
+def engine_for(config: SystemConfig, rival_mults: Sequence[int]) -> ExactEnumerator:
     """The exact engine of `config` for rivals running `rival_mults` oracles,
-    in that order, within `budget` cells.
+    in that order.
 
     Built on first use and kept in the config, so every later query on the
     same rival population reads the tables already built; it lives exactly as
     long as the config. A payoff does not depend on the counts or rows that
     share an engine, so sharing one cannot change a value.
     """
-    key = (tuple(int(m) for m in rival_mults), budget)
+    key = tuple(int(m) for m in rival_mults)
     engine = config._engines.get(key)
     if engine is None:
         engine = config._engines[key] = ExactEnumerator(
-            config.confusion.entries, config.prior.probabilities, *key)
+            config.confusion.entries, config.prior.probabilities, key)
     return engine
 
 
@@ -146,10 +144,10 @@ def expected_payoff_mc(
     )
 
 
-def single_oracle_rivals(config: SystemConfig, budget: int = DEFAULT_BUDGET) -> ExactEnumerator:
+def single_oracle_rivals(config: SystemConfig) -> ExactEnumerator:
     """The engine for any focal user whose rivals each run one oracle: the
     config's own, shared by the solver, the sweep and the default error rate."""
-    return engine_for(config, (1,) * (config.num_users - 1), budget)
+    return engine_for(config, (1,) * (config.num_users - 1))
 
 
 def concentrated_payoffs(

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._montecarlo import spawn_seed
 from .constants import DEFAULT_SEED
-from .enumeration import DEFAULT_BUDGET, EnumerationBudgetError
+from .enumeration import EnumerationBudgetError
 from .incentive import stake_power
 from .model import (
     ClassPrior,
@@ -53,7 +53,6 @@ class SolverSettings:
     epsilon: float = 0.01
     d_max: float = 16.0
     starting_d: float = 1.0
-    enumeration_budget: int = DEFAULT_BUDGET
     mc_samples: int = 1_000_000
     mc_margin: float = 4.0            # stderr multiples before a sampled check counts as violated
     seed: int = DEFAULT_SEED
@@ -162,7 +161,7 @@ class _Gaps:
         self.deviations = [
             (u.user_id, c) for u in self.users for c in u.oracle_counts()[1:]
         ]
-        self.engine = single_oracle_rivals(config, settings.enumeration_budget)
+        self.engine = single_oracle_rivals(config)
 
     def grid_d(self, index: int) -> float | None:
         """Row `index`'s exponent, or None past d_max."""

@@ -195,6 +195,30 @@ def test_factor_overflow_exits_1_without_traceback(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("d", ["341", "341.3"])
+def test_payoff_with_a_factor_total_past_the_float_range(ref_config_path, capsys, d):
+    """Two stake-8 factors sum past the float range from d = 341 on, while
+    each one fits until 341.33: the payoff is the one d = 340.9 gives."""
+    assert main(["payoff", str(ref_config_path), "--user", "1", "--c", "1", "--d", d]) == 0
+    out, err = capsys.readouterr()
+    assert out == "expected_payoff=0.420474455397 method=exact std_error=0 samples=0\n"
+    assert err == ""
+
+
+def test_sweep_with_a_factor_total_past_the_float_range(ref_config_path, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(ref_config_path), "--c-range", "1:2", "--d-list", "341",
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows[0]["c"] == "1" and rows[0]["expected_payoff"] == "0.420474455397"
+
+
+def test_a_factor_past_the_float_range_still_exits_1(ref_config_path, capsys):
+    assert main(["payoff", str(ref_config_path), "--user", "1", "--c", "1", "--d", "341.4"]) == 1
+    assert capsys.readouterr().err == "error: math range error\n"
+
+
 def test_solve_d_from_oracle_stakes_matches(trio_path, capsys):
     assert main(["solve-d", trio_path, "--epsilon", "0.05"]) == 0
     direct = capsys.readouterr().out
@@ -305,6 +329,37 @@ def test_estimate_cm_field_over_the_csv_limit_names_its_line(tmp_path, capsys):
     assert main(["estimate-cm", str(csv_path), "--k", "2"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: line 4: field larger than field limit ({csv.field_size_limit()})\n"
+
+
+@pytest.mark.parametrize("line", [3, 3001])
+def test_estimate_cm_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, line):
+    """The text reader fails on a whole buffer before csv sees its rows; the
+    error still names the physical line that holds the byte."""
+    csv_path = tmp_path / "records.csv"
+    rows = "".join(f"t{i},a{i % 7},1,1\n" for i in range(1, line - 1))
+    csv_path.write_bytes(f"task_id,annotator_id,label,gold_label\n{rows}".encode()
+                         + b"t2,\xff\xfe,1,1\n")
+    assert main(["estimate-cm", str(csv_path), "--k", "2"]) == 1
+    assert capsys.readouterr().err == (f"error: line {line}: 'utf-8' codec can't decode "
+                                       "byte 0xff in position 3: invalid start byte\n")
+
+
+def test_estimate_cm_names_a_row_error_before_a_byte_that_is_not_utf8(tmp_path, capsys):
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_bytes(b"task_id,annotator_id,label,gold_label\nt1,a1,9,1\nt2,\xff,1,1\n")
+    assert main(["estimate-cm", str(csv_path), "--k", "2"]) == 1
+    assert capsys.readouterr().err == "error: line 2: label 9 out of range [1, 2]\n"
+
+
+@pytest.mark.parametrize("start,end", [(b"", b"\r"), (b"\xef\xbb\xbf", b"\r\n")],
+                         ids=["cr", "bom-crlf"])
+def test_estimate_cm_row_errors_name_lines_after_any_line_end_and_a_bom(
+        tmp_path, capsys, start, end):
+    csv_path = tmp_path / "records.csv"
+    rows = [b"task_id,annotator_id,label,gold_label", b"t1,a1,1,1", b"t2,a2,9,1", b""]
+    csv_path.write_bytes(start + end.join(rows))
+    assert main(["estimate-cm", str(csv_path), "--k", "2"]) == 1
+    assert capsys.readouterr().err == "error: line 3: label 9 out of range [1, 2]\n"
 
 
 @pytest.mark.parametrize("k", ["0", "1", "-3"])

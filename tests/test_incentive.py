@@ -107,6 +107,19 @@ def test_settle_round_budget_and_zero_factors():
     )
 
 
+def test_factors_whose_sum_overflows_keep_budget_balance():
+    """Each factor fits a float but their sum does not: the split divides the
+    factors by their largest first, so the reward is still paid out in full."""
+    assert fs.distribute_rewards([8.0 ** 341] * 2, 1.0).tolist() == [0.5, 0.5]
+    outcome = fs.settle_round(
+        fs.VoteProfile((1, 1, 2), (1, 1, 1)),
+        allocations=[(8,), (8,), (8,)],
+        decided=1,
+        params=fs.MechanismParams(exponent=341.0, total_reward=3.0),
+    )
+    assert outcome.payoffs.tolist() == [1.5, 1.5, 0.0]
+
+
 def test_settle_round_validates_shapes():
     profile = fs.VoteProfile((1, 2), (2, 1))
     with pytest.raises(ValueError):

@@ -195,23 +195,21 @@ def test_counts_are_independent(ref_config, case):
 
 
 def test_group_tables_match_factorial_formulas():
-    """Multinomial probabilities and set-count divisors from the binomial table
-    agree with the per-composition factorial formulas for groups up to 30."""
+    """Multinomial probabilities from the binomial table agree with the
+    per-composition factorial formulas for groups up to 30."""
     rng = np.random.default_rng(31)
     confusion = helpers.weakly_accurate_matrix(rng, 5)
     sizes = (1, 2, 5, 10, 20, 30)
     engine = enumeration.ExactEnumerator(
         confusion, np.full(5, 0.2), [m for m, n in enumerate(sizes, 1) for _ in range(n)]
     )
-    comps, probs, divisors = engine._groups
+    comps, probs = engine._groups
     assert engine.group_sizes == list(sizes)
     factorial = [math.factorial(x) for x in range(max(sizes) + 1)]
-    for n, comp, prob, divisor in zip(sizes, comps, probs, divisors):
+    for n, comp, prob in zip(sizes, comps, probs):
         coef = [factorial[n] // math.prod(factorial[x] for x in row) for row in comp.tolist()]
         want = np.asarray(coef, float) * np.prod(confusion[:, None, :] ** comp, axis=2)
         np.testing.assert_allclose(prob, want, rtol=1e-15, atol=0)
-        comb = [[math.comb(n, x) for x in row] for row in comp.tolist()]
-        np.testing.assert_allclose(divisor, np.asarray(comb, float), rtol=1e-15, atol=0)
 
 
 def test_total_reward_scales_the_estimate():
@@ -312,6 +310,57 @@ def test_refused_payoffs_build_nothing():
     mc, stderr = fs._montecarlo.error_rate_mc_core(confusion, prior, [1, *range(1, 28)],
                                                     20_000, 0)
     assert abs(rate - mc) <= 3 * stderr
+
+
+@pytest.mark.parametrize("query,message", [
+    (lambda e: e.payoffs([1], [1.0], [[1.0] * 3]), "both be 1-D or both 2-D"),
+    (lambda e: e.payoffs([1], [[[1.0]]], [[[1.0] * 3]]), "both be 1-D or both 2-D"),
+    (lambda e: e.payoffs([1, 2], [1.0], [1.0] * 3), "must align"),
+    (lambda e: e.payoffs([1], [[1.0], [2.0]], [[1.0] * 3]), "same rows"),
+    (lambda e: e.payoffs([2, 0], [1.0, 1.0], [1.0] * 3), "count must be >= 1"),
+    (lambda e: e.payoffs([1], [1.0], [1.0] * 2), "expected 3 rival factors"),
+    (lambda e: e.error_rates([1, 0]), "count must be >= 1"),
+], ids=["mixed-dims", "3-d", "misaligned", "rows", "count-0", "rivals", "error-rate-count-0"])
+def test_ill_formed_queries_are_refused_before_any_table(query, message):
+    confusion, prior = np.array([[0.8, 0.2], [0.3, 0.7]]), np.array([0.4, 0.6])
+    engine = enumeration.ExactEnumerator(confusion, prior, [1, 1, 2])
+    with pytest.raises(ValueError, match=message):
+        query(engine)
+    assert engine._win == {} and "_groups" not in vars(engine)
+
+
+def test_an_engine_does_not_depend_on_the_budget(fresh_ref_config, ref_config_path, monkeypatch):
+    """A query refused under a one-cell budget builds nothing in the config's
+    engine; once the budget is back, that same engine answers, and its
+    answer equals a fresh config's."""
+    engine = fs.payoff.single_oracle_rivals(fresh_ref_config)
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_BUDGET", 1)
+        with pytest.raises(fs.EnumerationBudgetError):
+            concentrated_payoffs(fresh_ref_config, 1, 2.0, range(1, 9))
+        assert engine._win == {} and "_groups" not in vars(engine)
+    value = concentrated_payoffs(fresh_ref_config, 1, 2.0, range(1, 9))
+    assert fs.payoff.single_oracle_rivals(fresh_ref_config) is engine
+    assert sorted(engine._win) == list(range(1, 9))
+    fresh = concentrated_payoffs(fs.load_config(ref_config_path), 1, 2.0, range(1, 9))
+    assert value.tolist() == fresh.tolist()
+
+
+def test_a_factor_total_past_the_float_range_is_scaled(ref_config):
+    """Past d = 341 two stake-8 factors sum past the float range though each
+    fits: such a row is divided by its largest factor, so user 1's lone
+    oracle keeps the scale-free payoff it has at d = 340.9 (where nothing
+    overflows) instead of losing every round user 4 also matched. Rows and
+    counts that do not overflow share the call unchanged."""
+    ds = [340.9, 341.0, 341.3]
+    rows = concentrated_payoffs(ref_config, 1, ds, range(1, 9))
+    assert rows[1:, 0] == pytest.approx([rows[0, 0]] * 2, rel=1e-12, abs=0)
+    assert rows[0].tolist() == concentrated_payoffs(ref_config, 1, ds[0], range(1, 9)).tolist()
+    query = fs.PayoffQuery(ref_config, 1, fs.Strategy.single(8), 341.0)
+    exact = fs.expected_payoff_exact(query).value
+    assert exact == rows[1, 0]
+    mc = fs.expected_payoff_mc(query, samples=100_000, seed=5)
+    assert abs(mc.value - exact) <= 4 * mc.std_error
 
 
 def test_one_engine_answers_the_papers_pipeline(fresh_ref_config, ref_config_path, monkeypatch):

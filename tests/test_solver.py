@@ -94,14 +94,13 @@ def test_find_d_opt_with_equal_stakes_matches_bruteforce_grid(stakes):
     assert round((d_opt - 1.0) / 0.1) == round((want - 1.0) / 0.1)
 
 
-def test_sampled_partial_rows_report_their_reversals():
+def test_sampled_partial_rows_report_their_reversals(monkeypatch):
     """A sampled row stops at its first violation; the
     reversals still follow from the evaluations recorded. Few samples and no
     noise margin make checks near the answer flip between rows."""
+    monkeypatch.setattr(enumeration, "_BUDGET", 1)
     cfg = helpers.symmetric_binary_config([3, 2, 1])
-    settings = fs.SolverSettings(
-        epsilon=0.02, enumeration_budget=1, mc_samples=300, mc_margin=0.0, seed=2,
-    )
+    settings = fs.SolverSettings(epsilon=0.02, mc_samples=300, mc_margin=0.0, seed=2)
     diag = {}
     fs.find_d_opt(cfg, settings, diagnostics=diag)
     evaluations = diag["evaluations"]
@@ -244,12 +243,11 @@ def test_settings_validation():
     assert fs.SolverSettings(epsilon=1e-12).epsilon == 1e-12
 
 
-def test_mc_fallback_respects_noise_margin(trio_config):
+def test_mc_fallback_respects_noise_margin(trio_config, monkeypatch):
     """With a tiny budget the solver samples; the margin keeps d at the exact
     value instead of inflating it past sampling noise."""
-    settings = fs.SolverSettings(
-        epsilon=0.05, enumeration_budget=1, mc_samples=60000, seed=3
-    )
+    monkeypatch.setattr(enumeration, "_BUDGET", 1)
+    settings = fs.SolverSettings(epsilon=0.05, mc_samples=60000, seed=3)
     d_opt, cert = fs.find_d_opt(trio_config, settings)
     assert abs(d_opt - FROZEN_DOPT_211) <= 3 * settings.epsilon
     assert cert.satisfied
