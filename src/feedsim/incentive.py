@@ -60,8 +60,10 @@ def reward_factor(stake: int, reported: int, decided: int, d: float) -> float:
 
 
 def allocation_factor(allocation: Sequence[int], d: float) -> float:
-    """Total factor of one user's oracles when all of them are paid."""
-    return sum(stake_power(s, d) for s in allocation)
+    """Total factor of one user's oracles when all of them are paid, summed
+    smallest first: the same for any order of the allocation, and for a
+    concentrated one exactly ``(c - 1) + (s - c + 1) ** d``."""
+    return sum(sorted(stake_power(s, d) for s in allocation))
 
 
 def distribute_rewards(factors: Sequence[float], total_reward: float) -> np.ndarray:

@@ -10,8 +10,10 @@ certificate, evaluations, grid points and reversals are read off those rows.
 With the engine's canonical group order, the lowest-id user of a stake only
 sets the call count: any user of that stake gets the same payoffs.
 Once the engine refuses a block as over its cell budget, each check is two
-Monte Carlo runs, and sampled rows go one at a time, starting from the last
-violation seen and stopping at the first.
+Monte Carlo runs of `_MC_SAMPLES` rounds from `DEFAULT_SEED`, and sampled
+rows go one at a time, starting from the last violation seen and stopping at
+the first. `_Gaps.rows` is the one place that routes rows: `verify_nash` is
+the search's one-row case, over the grid {d}.
 
 A variant accepts the observed per-oracle stake vector in place of the
 (unobservable) per-user staking powers; when every user actually runs one
@@ -23,12 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ._montecarlo import spawn_seed
-from .constants import DEFAULT_SEED
+from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
 from .enumeration import EnumerationBudgetError
 from .incentive import stake_power
 from .model import (
@@ -44,18 +46,18 @@ _TIGHTNESS_TOL = 1e-12
 _BLOCK_ROWS = 16  # grid rows per engine call on the exact path
 _GRID_DECIMALS = 12
 _MIN_EPSILON = 10.0 ** -_GRID_DECIMALS
+_MC_SAMPLES = DEFAULT_MC_SAMPLES  # rounds per side of a sampled check
+_MC_MARGIN = 4.0  # stderr multiples before a sampled check counts as violated
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Grid parameters and evaluation policy for the exponent search."""
+    """The exponent grid: round(starting_d + i * epsilon, 12) for i = 0, 1, ...
+    up to d_max."""
 
     epsilon: float = 0.01
     d_max: float = 16.0
     starting_d: float = 1.0
-    mc_samples: int = 1_000_000
-    mc_margin: float = 4.0            # stderr multiples before a sampled check counts as violated
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         # grid values are rounded to 12 decimals, so a finer step repeats rows
@@ -65,6 +67,11 @@ class SolverSettings:
             raise ValueError("d_max must exceed starting_d")
         if self.starting_d < 1.0:
             raise ValueError("starting_d must be >= 1")
+
+    def grid_d(self, index: int) -> float | None:
+        """Row `index`'s exponent, or None past d_max."""
+        d = round(self.starting_d + index * self.epsilon, _GRID_DECIMALS)
+        return d if d <= self.d_max + 1e-12 else None
 
 
 @dataclass(frozen=True)
@@ -154,19 +161,13 @@ class _Gaps:
     grid exponent. Rivals run single full-stake oracles, so every focal user
     shares one engine, the config's own."""
 
-    def __init__(self, config: SystemConfig, settings: SolverSettings):
+    def __init__(self, config: SystemConfig):
         self.config = config
-        self.settings = settings
         self.users = sorted(config.users, key=lambda u: u.user_id)
         self.deviations = [
             (u.user_id, c) for u in self.users for c in u.oracle_counts()[1:]
         ]
         self.engine = single_oracle_rivals(config)
-
-    def grid_d(self, index: int) -> float | None:
-        """Row `index`'s exponent, or None past d_max."""
-        d = round(self.settings.starting_d + index * self.settings.epsilon, _GRID_DECIMALS)
-        return d if d <= self.settings.d_max + 1e-12 else None
 
     def exact_rows(self, ds: Sequence[float]):
         """The (single, mirror) payoffs of every deviation at each exponent in
@@ -209,19 +210,20 @@ class _Gaps:
             results.append(
                 expected_payoff_mc(
                     PayoffQuery(self.config, user_id, strategy, d),
-                    samples=self.settings.mc_samples,
-                    seed=spawn_seed(self.settings.seed, grid_index, user_id, c, side),
+                    samples=_MC_SAMPLES,
+                    seed=spawn_seed(DEFAULT_SEED, grid_index, user_id, c, side),
                 )
             )
         single, mirror = results
-        margin = self.settings.mc_margin * math.hypot(single.std_error, mirror.std_error)
+        margin = _MC_MARGIN * math.hypot(single.std_error, mirror.std_error)
         if single.value < mirror.value <= single.value + margin:
             # within sampling noise: count as holding to avoid inflating d
             return single.value, single.value
         return single.value, mirror.value
 
-    def rows(self):
-        """Each grid row up to d_max in turn.
+    def rows(self, grid: Callable[[int], float | None]):
+        """Each row of `grid`, which maps a row index to its exponent and
+        reads None past the last row, in turn.
 
         Rows are exact until the engine refuses a block, then sampled. A
         sampled row starts from the last violation seen and ends at its
@@ -229,7 +231,7 @@ class _Gaps:
         exhausted search can name its tightest violation.
         """
         index = 0
-        while ds := [d for d in map(self.grid_d, range(index, index + _BLOCK_ROWS))
+        while ds := [d for d in map(grid, range(index, index + _BLOCK_ROWS))
                      if d is not None]:
             try:
                 block = self.exact_rows(ds)
@@ -240,10 +242,10 @@ class _Gaps:
                 yield _Row(d, self.deviations, values)
         warm = None
         for index in itertools.count(index):
-            d = self.grid_d(index)
+            d = grid(index)
             if d is None:
                 return
-            more_rows = self.grid_d(index + 1) is not None
+            more_rows = grid(index + 1) is not None
             checks = {}
             for pair in sorted(self.deviations, key=lambda pair: pair != warm):
                 single, mirror = checks[pair] = self.mc_check(*pair, d, index)
@@ -255,20 +257,12 @@ class _Gaps:
             yield _Row(d, pairs, [checks[pair] for pair in pairs])
 
 
-def verify_nash(
-    config: SystemConfig,
-    d: float,
-    settings: SolverSettings | None = None,
-) -> NashCertificate:
-    """Check every unilateral mirroring deviation at a given exponent."""
+def verify_nash(config: SystemConfig, d: float) -> NashCertificate:
+    """Check every unilateral mirroring deviation at a given exponent: the
+    search's one-row case, whose only row is complete."""
     if d < 1.0:
         raise ValueError(f"exponent must be >= 1, got {d!r}")
-    gaps = _Gaps(config, settings or SolverSettings())
-    try:
-        values = gaps.exact_rows([d])[0]
-    except EnumerationBudgetError:
-        values = [gaps.mc_check(n, c, d, 0) for n, c in gaps.deviations]
-    row = _Row(d, gaps.deviations, values)
+    row = next(_Gaps(config).rows(lambda index: None if index else d))
     return NashCertificate(d=d, checks=row.checks(), satisfied=row.satisfied)
 
 
@@ -287,7 +281,7 @@ def find_d_opt(
     settings = settings or SolverSettings()
     visited = []  # kept only for diagnostics: a row holds every deviation's payoffs
     # with no user able to afford a second oracle, the first row holds vacuously
-    for row in _Gaps(config, settings).rows():
+    for row in _Gaps(config).rows(settings.grid_d):
         if diagnostics is not None:
             visited.append(row)
         if row.satisfied:

@@ -49,6 +49,22 @@ def test_validate_domain_violation_exits_1(tmp_path, capsys):
     assert "row 2 sums to 0.9" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags,code,report", [
+    ([], 1, "violation: row 2 sums to 0.9 (expected 1 within 1e-06)\nvalid: no\n"),
+    (["--renormalize"], 0, "valid: yes\n"),
+], ids=["as-read", "renormalized"])
+def test_validate_renormalize_rescales_the_rows(tmp_path, capsys, ref_config_path,
+                                                flags, code, report):
+    """amt10 with row 2 scaled by 0.9 is refused as read and valid once its
+    rows are rescaled to unit sum."""
+    doc = json.loads(ref_config_path.read_text())
+    doc["confusion"][1] = [0.9 * x for x in doc["confusion"][1]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), *flags]) == code
+    assert capsys.readouterr().out == report + "weakly accurate: yes\n"
+
+
 @pytest.mark.parametrize("num_classes,violations", [
     (0, ["num_classes 0 must be a positive integer",
          "confusion matrix is 5x5 but num_classes is 0"]),
@@ -383,6 +399,17 @@ def test_estimate_cm_label_map(tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["confusion"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_estimate_cm_label_missing_from_the_label_map_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text(
+        "task_id,annotator_id,label,gold_label\nt1,a,yes,yes\nt2,a,maybe,no\n"
+    )
+    code = main(["estimate-cm", str(csv_path), "--k", "2",
+                 "--label-map", '{"yes": 1, "no": 2}'])
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 3: label 'maybe' missing from label map\n"
 
 
 def assert_one_line_exit_2(code, capsys, field):

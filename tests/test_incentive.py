@@ -75,6 +75,17 @@ def test_factor_superadditivity(a, b, d):
         assert combined == split
 
 
+@given(st.integers(1, 40), st.data(), st.floats(1.0, 16.0))
+def test_allocation_factor_is_summed_smallest_first(stake, data, d):
+    """A concentrated allocation's factor is (c - 1) + (s - c + 1)^d, the
+    exact engine's, and no reordering of an allocation changes its factor."""
+    c = data.draw(st.integers(1, stake))
+    allocation = fs.optimal_allocation(stake, c).allocation
+    factor = fs.incentive.allocation_factor(allocation, d)
+    assert factor == (c - 1) + fs.stake_power(stake - c + 1, d)
+    assert fs.incentive.allocation_factor(data.draw(st.permutations(allocation)), d) == factor
+
+
 @given(st.lists(st.integers(1, 20), min_size=2, max_size=6))
 def test_scale_equivariance_at_d1(stakes):
     base = fs.distribute_rewards([fs.stake_power(s, 1.0) for s in stakes], 1.0)

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 import math
 
 import numpy as np
@@ -212,6 +214,18 @@ def test_group_tables_match_factorial_formulas():
         np.testing.assert_allclose(prob, want, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_compositions_keep_the_stars_and_bars_order(k):
+    """The compositions of small n come in the order, and with the dtype, of
+    the stars-and-bars rows built from itertools.combinations."""
+    for n in range(8):
+        bars = np.array(list(itertools.combinations(range(n + k - 1), k - 1)), dtype=np.int64)
+        ends = np.ones((len(bars), 1), dtype=np.int64)
+        want = np.diff(np.hstack([-ends, bars, (n + k - 1) * ends])) - 1
+        got = enumeration._compositions(n, k)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 def test_total_reward_scales_the_estimate():
     cfg = fs.SystemConfig(
         num_classes=2,
@@ -275,6 +289,17 @@ def test_concentrated_payoffs_check_counts_without_building_allocations(
     for c in (0, 9):  # user 1 holds stake 8
         with pytest.raises(ValueError, match=f"oracle count {c} infeasible for stake 8"):
             concentrated_payoffs(ref_config, 1, 2.0, [1, c])
+
+
+def test_a_concentrated_factor_is_the_same_on_every_path(ref_config_path):
+    """With user 1 of amt10 at stake 12, c = 3 and d = 15.99, the factor
+    10^d + 1 + 1 lies past 2^53: the payoff of one allocation and the row of
+    concentrated payoffs (the `payoff` and `sweep` commands) agree to the bit."""
+    doc = json.loads(ref_config_path.read_text())
+    doc["users"][0]["stake"] = 12
+    cfg = fs.model.config_from_dict(doc)
+    query = fs.PayoffQuery(cfg, 1, fs.optimal_allocation(12, 3), 15.99)
+    assert fs.expected_payoff_exact(query).value == concentrated_payoffs(cfg, 1, 15.99, [3])[0]
 
 
 def test_infeasible_strategy_rejected(ref_config):

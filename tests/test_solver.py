@@ -5,7 +5,7 @@ import pytest
 
 import feedsim as fs
 import helpers
-from feedsim import enumeration
+from feedsim import enumeration, solver
 import oracle_bruteforce as oracle
 
 # frozen from tests/oracle_bruteforce.py (run standalone before the build):
@@ -99,8 +99,11 @@ def test_sampled_partial_rows_report_their_reversals(monkeypatch):
     reversals still follow from the evaluations recorded. Few samples and no
     noise margin make checks near the answer flip between rows."""
     monkeypatch.setattr(enumeration, "_BUDGET", 1)
+    monkeypatch.setattr(solver, "_MC_SAMPLES", 300)
+    monkeypatch.setattr(solver, "_MC_MARGIN", 0.0)
+    monkeypatch.setattr(solver, "DEFAULT_SEED", 2)
     cfg = helpers.symmetric_binary_config([3, 2, 1])
-    settings = fs.SolverSettings(epsilon=0.02, mc_samples=300, mc_margin=0.0, seed=2)
+    settings = fs.SolverSettings(epsilon=0.02)
     diag = {}
     fs.find_d_opt(cfg, settings, diagnostics=diag)
     evaluations = diag["evaluations"]
@@ -172,6 +175,24 @@ def test_verify_nash_reports_all_checks(trio_config):
     doc = cert.to_dict()
     assert set(doc) == {"d", "checks", "satisfied"}
     assert set(doc["checks"][0]) == {"n", "c", "payoff_single", "payoff_mirror"}
+
+
+@pytest.mark.parametrize("d", [1.4, 2.0])
+def test_sampled_verify_nash_is_the_one_row_search(monkeypatch, d):
+    """With the engine refused, verify_nash samples every deviation, past a
+    violation too. Where that certificate holds, it is the one the search
+    returns over the one-row grid {d}, bit for bit."""
+    exact = fs.verify_nash(helpers.symmetric_binary_config([3, 2, 1]), d)
+    monkeypatch.setattr(enumeration, "_BUDGET", 1)
+    monkeypatch.setattr(solver, "_MC_SAMPLES", 2000)
+    cfg = helpers.symmetric_binary_config([3, 2, 1])
+    cert = fs.verify_nash(cfg, d)
+    assert [(c.user_id, c.oracle_count) for c in cert.checks] == [(1, 2), (1, 3), (2, 2)]
+    assert cert.satisfied == exact.satisfied == (d == 2.0)
+    assert all(c.payoff_single != e.payoff_single for c, e in zip(cert.checks, exact.checks))
+    if cert.satisfied:
+        grid = fs.SolverSettings(starting_d=d, epsilon=1.0, d_max=d + 0.5)
+        assert fs.find_d_opt(cfg, grid) == (d, cert)
 
 
 def test_verify_nash_rejects_small_exponent(trio_config):
@@ -247,7 +268,9 @@ def test_mc_fallback_respects_noise_margin(trio_config, monkeypatch):
     """With a tiny budget the solver samples; the margin keeps d at the exact
     value instead of inflating it past sampling noise."""
     monkeypatch.setattr(enumeration, "_BUDGET", 1)
-    settings = fs.SolverSettings(epsilon=0.05, mc_samples=60000, seed=3)
+    monkeypatch.setattr(solver, "_MC_SAMPLES", 60000)
+    monkeypatch.setattr(solver, "DEFAULT_SEED", 3)
+    settings = fs.SolverSettings(epsilon=0.05)
     d_opt, cert = fs.find_d_opt(trio_config, settings)
     assert abs(d_opt - FROZEN_DOPT_211) <= 3 * settings.epsilon
     assert cert.satisfied
