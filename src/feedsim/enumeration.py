@@ -67,18 +67,10 @@ class EnumerationBudgetError(RuntimeError):
 
 
 def _compositions(n: int, k: int) -> np.ndarray:
-    """Every way to spread n reports over k classes, one row per way, in
-    lexicographic order. Class by class, each prefix row is repeated once per
-    count x = 0..left that the class can take; the last class takes the rest."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([n], dtype=np.int64)
-    for _ in range(k - 1):
-        ways = left + 1
-        prefix = np.repeat(np.arange(len(left)), ways)
-        x = np.arange(len(prefix)) - np.repeat(np.cumsum(ways) - ways, ways)
-        rows = np.column_stack([rows[prefix], x])
-        left = left[prefix] - x
-    return np.column_stack([rows, left])
+    """Every way to spread n reports over k classes, one row per way."""
+    bars = np.array(list(itertools.combinations(range(n + k - 1), k - 1)), dtype=np.int64)
+    ends = np.ones((len(bars), 1), dtype=np.int64)
+    return np.diff(np.hstack([-ends, bars, (n + k - 1) * ends])) - 1
 
 
 def _blocks(radix: Sequence[int], rows: int):

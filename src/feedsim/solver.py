@@ -10,7 +10,7 @@ certificate, evaluations, grid points and reversals are read off those rows.
 With the engine's canonical group order, the lowest-id user of a stake only
 sets the call count: any user of that stake gets the same payoffs.
 Once the engine refuses a block as over its cell budget, each check is two
-Monte Carlo runs of `_MC_SAMPLES` rounds from `DEFAULT_SEED`, and sampled
+Monte Carlo runs of `DEFAULT_MC_SAMPLES` rounds from `DEFAULT_SEED`, and sampled
 rows go one at a time, starting from the last violation seen and stopping at
 the first. `_Gaps.rows` is the one place that routes rows: `verify_nash` is
 the search's one-row case, over the grid {d}.
@@ -46,7 +46,6 @@ _TIGHTNESS_TOL = 1e-12
 _BLOCK_ROWS = 16  # grid rows per engine call on the exact path
 _GRID_DECIMALS = 12
 _MIN_EPSILON = 10.0 ** -_GRID_DECIMALS
-_MC_SAMPLES = DEFAULT_MC_SAMPLES  # rounds per side of a sampled check
 _MC_MARGIN = 4.0  # stderr multiples before a sampled check counts as violated
 
 
@@ -210,7 +209,7 @@ class _Gaps:
             results.append(
                 expected_payoff_mc(
                     PayoffQuery(self.config, user_id, strategy, d),
-                    samples=_MC_SAMPLES,
+                    samples=DEFAULT_MC_SAMPLES,
                     seed=spawn_seed(DEFAULT_SEED, grid_index, user_id, c, side),
                 )
             )

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import math
 
@@ -212,18 +211,6 @@ def test_group_tables_match_factorial_formulas():
         coef = [factorial[n] // math.prod(factorial[x] for x in row) for row in comp.tolist()]
         want = np.asarray(coef, float) * np.prod(confusion[:, None, :] ** comp, axis=2)
         np.testing.assert_allclose(prob, want, rtol=1e-15, atol=0)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_compositions_keep_the_stars_and_bars_order(k):
-    """The compositions of small n come in the order, and with the dtype, of
-    the stars-and-bars rows built from itertools.combinations."""
-    for n in range(8):
-        bars = np.array(list(itertools.combinations(range(n + k - 1), k - 1)), dtype=np.int64)
-        ends = np.ones((len(bars), 1), dtype=np.int64)
-        want = np.diff(np.hstack([-ends, bars, (n + k - 1) * ends])) - 1
-        got = enumeration._compositions(n, k)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_total_reward_scales_the_estimate():

@@ -99,7 +99,7 @@ def test_sampled_partial_rows_report_their_reversals(monkeypatch):
     reversals still follow from the evaluations recorded. Few samples and no
     noise margin make checks near the answer flip between rows."""
     monkeypatch.setattr(enumeration, "_BUDGET", 1)
-    monkeypatch.setattr(solver, "_MC_SAMPLES", 300)
+    monkeypatch.setattr(solver, "DEFAULT_MC_SAMPLES", 300)
     monkeypatch.setattr(solver, "_MC_MARGIN", 0.0)
     monkeypatch.setattr(solver, "DEFAULT_SEED", 2)
     cfg = helpers.symmetric_binary_config([3, 2, 1])
@@ -184,7 +184,7 @@ def test_sampled_verify_nash_is_the_one_row_search(monkeypatch, d):
     returns over the one-row grid {d}, bit for bit."""
     exact = fs.verify_nash(helpers.symmetric_binary_config([3, 2, 1]), d)
     monkeypatch.setattr(enumeration, "_BUDGET", 1)
-    monkeypatch.setattr(solver, "_MC_SAMPLES", 2000)
+    monkeypatch.setattr(solver, "DEFAULT_MC_SAMPLES", 2000)
     cfg = helpers.symmetric_binary_config([3, 2, 1])
     cert = fs.verify_nash(cfg, d)
     assert [(c.user_id, c.oracle_count) for c in cert.checks] == [(1, 2), (1, 3), (2, 2)]
@@ -268,7 +268,7 @@ def test_mc_fallback_respects_noise_margin(trio_config, monkeypatch):
     """With a tiny budget the solver samples; the margin keeps d at the exact
     value instead of inflating it past sampling noise."""
     monkeypatch.setattr(enumeration, "_BUDGET", 1)
-    monkeypatch.setattr(solver, "_MC_SAMPLES", 60000)
+    monkeypatch.setattr(solver, "DEFAULT_MC_SAMPLES", 60000)
     monkeypatch.setattr(solver, "DEFAULT_SEED", 3)
     settings = fs.SolverSettings(epsilon=0.05)
     d_opt, cert = fs.find_d_opt(trio_config, settings)
