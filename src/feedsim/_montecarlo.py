@@ -132,8 +132,6 @@ def mc_rounds(
 
     Block temporaries are freed block by block, before the batch is yielded.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     mults = np.asarray(multiplicities, dtype=np.int64)
     order, groups = _groups(mults)
     block = max(1, _CELLS // mults.size)
@@ -164,9 +162,11 @@ def spawn_seed(seed: int, *key: int) -> int:
 
 
 def mean_and_stderr(total: float, total_sq: float, samples: int) -> tuple[float, float]:
-    mean = total / samples
+    """Sample mean and standard error from a sum and a sum of squares; one
+    sample has no standard error, so fewer than 2 raise ValueError."""
     if samples < 2:
-        return mean, 0.0
+        raise ValueError(f"a standard error needs at least 2 samples, got {samples}")
+    mean = total / samples
     variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
     return mean, float(np.sqrt(variance / samples))
 
@@ -177,15 +177,12 @@ def payoff_mc(
     multiplicities: Sequence[int],
     user_factors: Sequence[float],
     focal_index: int,
-    total_reward: float,
     samples: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Sample mean and standard error of the focal user's round payoff.
-
-    The moments are those of the focal share of the reward, which lies in
-    [0, 1]; scaling by `total_reward` once at the end keeps the squares
-    finite for every finite reward."""
+    """Sample mean and standard error of the focal user's share of a round's
+    reward. A share lies in [0, 1], so its squares stay finite; the caller
+    multiplies both by the reward."""
     factors = np.asarray(user_factors, dtype=np.float64)
     rng = np.random.default_rng(seed)
     total = 0.0
@@ -194,8 +191,7 @@ def payoff_mc(
         share = _split(reports == output[:, None], factors, focal_index)
         total += float(share.sum())
         total_sq += float((share * share).sum())
-    mean, stderr = mean_and_stderr(total, total_sq, samples)
-    return mean * float(total_reward), stderr * float(total_reward)
+    return mean_and_stderr(total, total_sq, samples)
 
 
 def error_rate_mc_core(

@@ -21,11 +21,12 @@ factor sum), and contracts with the table in a fixed-order `einsum`. The
 table's states are walked in mixed-radix blocks (`_blocks`) of at most
 `_BLOCK` (class, state) cells per numpy pass. A query lays out the splits of
 its trailing groups that fit in `_BLOCK`, with no cache, and walks the
-groups before them one split at a time. A query may carry a leading axis of
-rows, one per exponent: rivals then share a group when their factors agree
-on every row, and a pass takes as many (row, count) pairs as keep it within
-`_BLOCK` cells. A payoff thus depends only on the rival multiset, not on
-rival order or on the counts and rows sharing its call.
+groups before them one split at a time. A query holds one row of factors per
+exponent: rivals share a group when their factors agree on every row, and a
+pass takes as many (row, count) pairs as keep it within `_BLOCK` cells. A
+payoff thus depends only on the rival multiset, not on rival order or on the
+counts and rows sharing its call. It is the focal user's share of the
+reward: `feedsim.payoff` multiplies it by the total reward.
 
 Error rates depend on vote counts only. Each multiplicity group's multinomial
 report counts give its vote-count vectors and their probability per truth
@@ -230,27 +231,23 @@ class ExactEnumerator:
     def payoffs(
         self,
         focal_counts: Sequence[int],
-        focal_factors: Sequence[float],
-        rival_factors: Sequence[float],
-        total_reward: float = 1.0,
+        focal_factors: Sequence[Sequence[float]],
+        rival_factors: Sequence[Sequence[float]],
     ) -> np.ndarray:
-        """Expected focal payoff for each (oracle count, reward factor) pair.
+        """Expected focal share of the reward for each (exponent row, oracle count).
 
         The focal user casts `focal_counts[i]` identical votes and, when its
-        report is the decided output, earns `focal_factors[..., i]` against
-        the rival factors of every rival that also matched.
-
-        Both factor arguments may carry a leading axis of rows, one per
-        exponent: `(rows, counts)` focal and `(rows, rivals)` rival factors
-        give a `(rows, counts)` result. 1-D factors are the one-row case.
+        report is the decided output, earns `focal_factors[r, i]` over the sum
+        of that factor and the factors in `rival_factors[r]` of every rival
+        that also matched. Both factor arguments hold one row per exponent:
+        `(rows, counts)` focal and `(rows, rivals)` rival factors give a
+        `(rows, counts)` result.
         """
         cs = [int(c) for c in focal_counts]
         fs = np.asarray(focal_factors, dtype=np.float64)
         rf = np.asarray(rival_factors, dtype=np.float64)
-        one_row = fs.ndim == 1
-        if rf.ndim != fs.ndim or fs.ndim not in (1, 2):
-            raise ValueError("focal and rival factors must both be 1-D or both 2-D")
-        fs, rf = np.atleast_2d(fs), np.atleast_2d(rf)
+        if fs.ndim != 2 or rf.ndim != 2:
+            raise ValueError("focal and rival factors must both be 2-D, one row per exponent")
         if fs.shape[1] != len(cs):
             raise ValueError("focal_counts and focal_factors must align")
         if len(fs) != len(rf):
@@ -312,8 +309,7 @@ class ExactEnumerator:
                 np.divide(f, share, out=share)
                 share *= table[cols, k + column]
                 out[rows, cols] += np.einsum("rcs,s->rc", share, sets * weight)
-        out *= float(total_reward)
-        return out[0] if one_row else out
+        return out
 
     def error_rates(self, focal_counts: Sequence[int]) -> np.ndarray:
         """Probability the decided output differs from the truth, per focal count.

@@ -87,8 +87,8 @@ class ExperimentSpec:
         for d in self.d_values:
             if not (math.isfinite(d) and d >= 1.0):
                 raise ValueError(f"exponent d must be finite and >= 1, got {d!r}")
-        if self.samples < 1:
-            raise ValueError(f"experiment samples must be >= 1, got {self.samples}")
+        if self.samples < 2:
+            raise ValueError(f"experiment samples must be >= 2, got {self.samples}")
         if self.seed < 0:
             raise ValueError(f"experiment seed must be >= 0, got {self.seed}")
 

@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -356,6 +357,9 @@ def _check(config: SystemConfig) -> ValidationReport:
     reward = config.total_reward
     if not (isinstance(reward, (int, float)) and math.isfinite(reward) and reward > 0):
         out.append(f"total reward {reward!r} must be a positive finite number")
+    elif reward < sys.float_info.min:  # subnormal payoffs would round the solver's gaps away
+        out.append(f"total reward {reward!r} is below the smallest normal float "
+                   f"{sys.float_info.min!r}")
     return ValidationReport(tuple(out), config.confusion.is_weakly_accurate())
 
 

@@ -108,13 +108,12 @@ def expected_payoff_exact(query: PayoffQuery) -> PayoffEstimate:
     rivals = [strategies[u.user_id] for u in query.config.users if u.user_id != query.focal_user]
     engine = engine_for(query.config, [s.oracle_count for s in rivals])
     focal = strategies[query.focal_user]
-    value = engine.payoffs(
+    share = engine.payoffs(
         [focal.oracle_count],
-        [allocation_factor(focal.allocation, query.d)],
-        [allocation_factor(s.allocation, query.d) for s in rivals],
-        total_reward=query.config.total_reward,
-    )[0]
-    return PayoffEstimate(value=float(value), method=EXACT)
+        [[allocation_factor(focal.allocation, query.d)]],
+        [[allocation_factor(s.allocation, query.d) for s in rivals]],
+    )[0, 0]
+    return PayoffEstimate(value=float(share) * float(query.config.total_reward), method=EXACT)
 
 
 def expected_payoff_mc(
@@ -129,19 +128,18 @@ def expected_payoff_mc(
     ordered = [u.user_id for u in query.config.users]
     mults = [strategies[m].oracle_count for m in ordered]
     factors = [allocation_factor(strategies[m].allocation, query.d) for m in ordered]
-    value, stderr = _montecarlo.payoff_mc(
+    share, stderr = _montecarlo.payoff_mc(
         query.config.confusion.entries,
         query.config.prior.probabilities,
         mults,
         factors,
         ordered.index(query.focal_user),
-        query.config.total_reward,
         samples,
         seed,
     )
-    return PayoffEstimate(
-        value=value, method=MONTE_CARLO, std_error=stderr, samples=int(samples)
-    )
+    reward = float(query.config.total_reward)
+    return PayoffEstimate(value=share * reward, method=MONTE_CARLO,
+                          std_error=stderr * reward, samples=int(samples))
 
 
 def single_oracle_rivals(config: SystemConfig) -> ExactEnumerator:
@@ -185,7 +183,7 @@ def _concentrated(engine, stake, counts, rival_stakes, power, total_reward) -> n
     # c oracles: c - 1 holding stake 1 and one holding the rest
     focal = (counts - 1) + power([stake - c + 1 for c in counts.tolist()])
     rivals = power(list(rival_stakes))
-    return engine.payoffs(counts, focal, rivals, total_reward=total_reward)
+    return engine.payoffs(counts, focal, rivals) * float(total_reward)
 
 
 def best_response_c(

@@ -558,3 +558,42 @@ def test_out_of_range_value_exits_1_before_sampling(tmp_path, capsys, monkeypatc
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
     assert list(tmp_path.iterdir()) == []
+
+
+def amt10_with_reward(tmp_path, ref_config_path, reward):
+    doc = json.loads(ref_config_path.read_text())
+    doc["total_reward"] = reward
+    path = tmp_path / "reward.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("reward", [5e-324, 1e-320])
+def test_validate_refuses_a_subnormal_reward(tmp_path, capsys, ref_config_path, reward):
+    """A subnormal reward would give subnormal payoffs, whose gaps round away."""
+    path = amt10_with_reward(tmp_path, ref_config_path, reward)
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"violation: total reward {reward!r} is below the smallest normal float "
+        "2.2250738585072014e-308", "valid: no", "weakly accurate: yes"]
+
+
+def test_the_smallest_normal_reward_is_accepted(tmp_path, capsys, ref_config_path):
+    path = amt10_with_reward(tmp_path, ref_config_path, 2.2250738585072014e-308)
+    assert main(["validate", path]) == 0
+    assert main(["solve-d", path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "d_opt=2.28 checks=45 satisfied=yes"
+
+
+@pytest.mark.parametrize("command,message", [
+    (["payoff", "--user", "1", "--c", "2", "--method", "mc", "--samples", "1"],
+     "a standard error needs at least 2 samples, got 1"),
+    (["sweep", "--method", "mc", "--samples", "1"], "experiment samples must be >= 2, got 1"),
+], ids=["payoff", "sweep"])
+def test_one_sample_has_no_standard_error(tmp_path, capsys, ref_config_path, command, message):
+    out = ["--out", str(tmp_path / "sweep.csv")] if command[0] == "sweep" else []
+    code = main([command[0], str(ref_config_path), *command[1:], *out])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []

@@ -279,3 +279,8 @@ def test_spec_accepts_numpy_scalars(ref_config):
         cfg, focal, (1, 2), (1.5,), method="mc", samples=samples, seed=seed))
         for focal, samples, seed in [(1, 300, 7), (np.int32(1), np.int64(300), np.uint8(7))]]
     assert sampled[0] == sampled[1]
+
+
+def test_error_rate_mc_refuses_one_sample(ref_config):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        fs.error_rate_mc(ref_config, samples=1)

@@ -122,7 +122,7 @@ ROW_CASES = [pytest.param(("amt10", u), id=f"amt10-user{u}") for u in (1, 7)] + 
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("case", ROW_CASES)
 def test_batched_rows_match_one_row_calls(fresh_ref_config, monkeypatch, case, block):
-    """One engine call over rows of exponents equals one 1-D call per row;
+    """One engine call over rows of exponents equals one one-row call per row;
     tiny blocks walk the states and the splits in many passes."""
     if block is not None:
         monkeypatch.setattr(enumeration, "_BLOCK", block)
@@ -145,7 +145,7 @@ def test_batched_rows_match_one_row_calls(fresh_ref_config, monkeypatch, case, b
     batched = engine.payoffs(counts, focal_rows, rival_rows)
     assert batched.shape == (len(ds), stake)
     for got, f, r in zip(batched, focal_rows, rival_rows):
-        assert got == pytest.approx(engine.payoffs(counts, f, r), abs=1e-15, rel=0)
+        assert got == pytest.approx(engine.payoffs(counts, [f], [r])[0], abs=1e-15, rel=0)
 
 
 @pytest.mark.parametrize("block", [None, 64])
@@ -189,10 +189,11 @@ def test_counts_are_independent(ref_config, case):
     rng = np.random.default_rng(17)
     focal = rng.uniform(1.0, 5.0, size=len(counts))
     rivals = rng.uniform(1.0, 5.0, size=together.num_rivals)
-    together.payoffs(counts, focal, rivals)
+    together.payoffs(counts, [focal], [rivals])
     for c, f in zip(counts, focal):
-        alone.payoffs([c], [f], rivals)
-    assert (together.payoffs(counts, focal, rivals) == alone.payoffs(counts, focal, rivals)).all()
+        alone.payoffs([c], [[f]], [rivals])
+    assert (together.payoffs(counts, [focal], [rivals])
+            == alone.payoffs(counts, [focal], [rivals])).all()
 
 
 def test_group_tables_match_factorial_formulas():
@@ -222,6 +223,31 @@ def test_total_reward_scales_the_estimate():
     )
     query = fs.PayoffQuery(cfg, 1, fs.Strategy.single(2), 1.0)
     assert fs.expected_payoff_exact(query).value == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("reward", [3.0, 1e300, 2.2250738585072014e-308])
+def test_every_payoff_is_the_reward_times_its_share(ref_config, reward):
+    """The engine and the sampler give shares, and the payoff layer multiplies
+    them by the reward last: at any normal reward each payoff is the reward
+    times its value at reward 1, to the last bit, and d_opt does not move."""
+
+    def answers(config):
+        query = fs.PayoffQuery(config, 1, fs.optimal_allocation(8, 3), 2.28)
+        mc = fs.expected_payoff_mc(query, samples=2000, seed=4)
+        d_opt, certificate = fs.find_d_opt(config)
+        swept = concentrated_payoffs(config, 1, [1.0, 2.28], range(1, 9))
+        return d_opt, [
+            fs.expected_payoff_exact(query).value, mc.value, mc.std_error,
+            *swept.ravel().tolist(),
+            *(v for check in certificate.checks for v in (check.payoff_single,
+                                                          check.payoff_mirror)),
+        ]
+
+    assert ref_config.total_reward == 1.0
+    d_one, shares = answers(ref_config)
+    d_opt, payoffs = answers(dataclasses.replace(ref_config, total_reward=reward))
+    assert d_one == d_opt == 2.28
+    assert payoffs == [share * reward for share in shares]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -316,7 +342,7 @@ def test_refused_payoffs_build_nothing():
     confusion, prior = np.array([[0.8, 0.2], [0.3, 0.7]]), np.array([0.4, 0.6])
     engine = enumeration.ExactEnumerator(confusion, prior, range(1, 28))
     with pytest.raises(fs.EnumerationBudgetError):
-        engine.payoffs([1], [1.0], [1.0] * 27)
+        engine.payoffs([1], [[1.0]], [[1.0] * 27])
     assert engine._win == {} and "_groups" not in vars(engine)
     rate = engine.error_rates([1])[0]
     mc, stderr = fs._montecarlo.error_rate_mc_core(confusion, prior, [1, *range(1, 28)],
@@ -325,14 +351,16 @@ def test_refused_payoffs_build_nothing():
 
 
 @pytest.mark.parametrize("query,message", [
-    (lambda e: e.payoffs([1], [1.0], [[1.0] * 3]), "both be 1-D or both 2-D"),
-    (lambda e: e.payoffs([1], [[[1.0]]], [[[1.0] * 3]]), "both be 1-D or both 2-D"),
-    (lambda e: e.payoffs([1, 2], [1.0], [1.0] * 3), "must align"),
+    (lambda e: e.payoffs([1], [1.0], [[1.0] * 3]), "both be 2-D"),
+    (lambda e: e.payoffs([1], [[[1.0]]], [[[1.0] * 3]]), "both be 2-D"),
+    (lambda e: e.payoffs([1], [1.0], [1.0] * 3), "both be 2-D"),
+    (lambda e: e.payoffs([1, 2], [[1.0]], [[1.0] * 3]), "must align"),
     (lambda e: e.payoffs([1], [[1.0], [2.0]], [[1.0] * 3]), "same rows"),
-    (lambda e: e.payoffs([2, 0], [1.0, 1.0], [1.0] * 3), "count must be >= 1"),
-    (lambda e: e.payoffs([1], [1.0], [1.0] * 2), "expected 3 rival factors"),
+    (lambda e: e.payoffs([2, 0], [[1.0, 1.0]], [[1.0] * 3]), "count must be >= 1"),
+    (lambda e: e.payoffs([1], [[1.0]], [[1.0] * 2]), "expected 3 rival factors"),
     (lambda e: e.error_rates([1, 0]), "count must be >= 1"),
-], ids=["mixed-dims", "3-d", "misaligned", "rows", "count-0", "rivals", "error-rate-count-0"])
+], ids=["mixed-dims", "3-d", "1-d", "misaligned", "rows", "count-0", "rivals",
+        "error-rate-count-0"])
 def test_ill_formed_queries_are_refused_before_any_table(query, message):
     confusion, prior = np.array([[0.8, 0.2], [0.3, 0.7]]), np.array([0.4, 0.6])
     engine = enumeration.ExactEnumerator(confusion, prior, [1, 1, 2])
