@@ -18,15 +18,16 @@ A query groups the rivals by (multiplicity, factor), in sorted order, sums
 f / (f + M) over every split of the matching rivals across those groups,
 weighted by the number of rival sets with that split (M is the split's
 factor sum), and contracts with the table in a fixed-order `einsum`. The
-table's states are walked in mixed-radix blocks (`_blocks`) of at most
-`_BLOCK` (class, state) cells per numpy pass. A query lays out the splits of
-its trailing groups that fit in `_BLOCK`, with no cache, and walks the
-groups before them one split at a time. A query holds one row of factors per
-exponent: rivals share a group when their factors agree on every row, and a
-pass takes as many (row, count) pairs as keep it within `_BLOCK` cells. A
-payoff thus depends only on the rival multiset, not on rival order or on the
-counts and rows sharing its call. It is the focal user's share of the
-reward: `feedsim.payoff` multiplies it by the total reward.
+table's states and a query's splits are walked alike, in mixed-radix blocks
+(`_blocks`) of at most `_BLOCK` cells per numpy pass, with no cache: (class,
+state) cells for a table, (row, count, split) cells for a query. A query
+holds one row of factors per exponent: rivals share a group when their
+factors agree on every row, a block's factor sums are found once per row,
+and a pass takes as many (row, count) pairs as keep it within `_BLOCK`
+cells. The blocks depend on the groups alone, so a payoff depends only on
+the rival multiset, not on rival order or on the counts and rows sharing its
+call. It is the focal user's share of the reward, clipped at 1 against
+rounding: `feedsim.payoff` multiplies it by the total reward.
 
 Error rates depend on vote counts only. Each multiplicity group's multinomial
 report counts give its vote-count vectors and their probability per truth
@@ -42,6 +43,8 @@ A query is priced in the float64 cells it would build, from the group sizes
 alone, and refused over `_BUDGET` before anything is allocated: amt10's
 largest solver call costs 6.9e4 cells, 12 to 40 users at K = 5 1.3e5 to 1.2e8.
 A query pays only for the win tables of counts its engine has not built yet.
+A group of 1030 or more rivals is refused too: its set counts, C(n, k), pass
+the float range.
 
 An engine keeps every table it builds, so sharing one saves work:
 `payoff.engine_for` builds one per rival population of a config and keeps
@@ -54,6 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from collections import Counter
 from typing import Sequence
 
@@ -140,6 +144,11 @@ class ExactEnumerator:
     def _binomials(self) -> np.ndarray:
         """C(a, b) for 0 <= a, b <= the largest group size as floats, 0 where b > a."""
         n = max(self.group_sizes, default=0)
+        if math.comb(n, n // 2) > sys.float_info.max:  # from n = 1030 on
+            raise EnumerationBudgetError(
+                f"exact enumeration over a group of {n} rivals counts more rival "
+                f"sets than a float holds; use the Monte Carlo estimator instead"
+            )
         return np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], float)
 
     @functools.cached_property
@@ -153,8 +162,13 @@ class ExactEnumerator:
             # the multinomial, class by class: choose x_j of the reports not yet placed
             unplaced = n - np.cumsum(comp, axis=1) + comp
             coef = binom[unplaced, comp].prod(axis=1)
+            # its probability per truth, one class at a time: raising every
+            # entry at once would hold a (truth, composition, class) array
+            prob = np.ones((self.num_classes, len(comp)))
+            for j in range(self.num_classes):
+                prob *= self.confusion[:, j, None] ** comp[:, j]
             comps.append(comp)
-            probs.append(coef * np.prod(self.confusion[:, None, :] ** comp, axis=2))
+            probs.append(coef * prob)
         return comps, probs
 
     def _win_tables(self, counts: list[int]) -> None:
@@ -278,38 +292,30 @@ class ExactEnumerator:
         if missing:
             self._win_tables(missing)
         table = np.stack([self._win[c] for c in cs])
-        # the splits of the groups from `cut` on fit one pass and are laid out
-        # once per call; the groups before `cut` are walked one split at a time
-        cut = len(radix)
-        while cut and math.prod(radix[cut - 1:]) <= _BLOCK:
-            cut -= 1
-        split = low[cut:, None] + next(_blocks(radix[cut:], _BLOCK))
-        weight = self._binomials[sizes[cut:, None], split].prod(axis=0)
-        column = stride[cut:] @ split
-        split = split.astype(float)
-        width = min(len(cs), max(1, _BLOCK // split.shape[1]))  # counts per pass
-        step = max(1, _BLOCK // (width * split.shape[1]))  # rows per pass
-        lead = list(zip(sizes.tolist(), low.tolist(), stride.tolist()))[:cut]
         out = np.zeros(fs.shape)
-        for start, first in itertools.product(range(0, len(fs), step), range(0, len(cs), width)):
-            rows, cols = slice(start, start + step), slice(first, first + width)
-            f = fs[rows, cols, None]
-            # einsum here and below, not a matrix product: a payoff's sums must
-            # not depend on the rows and counts that share the call
-            inner = np.einsum("rg,gs->rs", factor[rows, cut:], split)
-            for head in itertools.product(*(range(lo, n + 1) for n, lo, _ in lead)):
-                m, k, sets = np.zeros(len(f)), 0, 1.0
-                # group by group, so again a row's sum does not depend on the rows
-                for g, ((n, _, x), a) in enumerate(zip(lead, head)):
-                    m += factor[rows, g] * a
-                    k += x * a
-                    sets *= self._binomials[n, a]
-                # in place: a fresh temporary this size would be paged in anew
-                share = f + m[:, None, None] + inner[:, None, :]
-                np.divide(f, share, out=share)
-                share *= table[cols, k + column]
-                out[rows, cols] += np.einsum("rcs,s->rc", share, sets * weight)
-        return out
+        # the splits in blocks that depend on the groups alone, like the states
+        for digits in _blocks(radix, _BLOCK):
+            split = low[:, None] + digits
+            weight = self._binomials[sizes[:, None], split].prod(axis=0)
+            column = stride @ split
+            split = split.astype(float)
+            width = min(len(cs), max(1, _BLOCK // split.shape[1]))  # counts per pass
+            step = max(1, _BLOCK // (width * split.shape[1]))  # rows per pass
+            for start in range(0, len(fs), step):
+                rows = slice(start, start + step)
+                # einsum here and below, not a matrix product: a payoff's sums
+                # must not depend on the rows and counts that share the call
+                rival = np.einsum("rg,gs->rs", factor[rows], split)
+                for first in range(0, len(cs), width):
+                    cols = slice(first, first + width)
+                    f = fs[rows, cols, None]
+                    # in place: a fresh temporary this size would be paged in anew
+                    share = f + rival[:, None, :]
+                    np.divide(f, share, out=share)
+                    share *= table[cols, column]
+                    out[rows, cols] += np.einsum("rcs,s->rc", share, weight)
+        # a share never exceeds 1, but its sum over splits can round a hair past
+        return np.minimum(out, 1.0, out=out)
 
     def error_rates(self, focal_counts: Sequence[int]) -> np.ndarray:
         """Probability the decided output differs from the truth, per focal count.

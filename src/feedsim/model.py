@@ -355,8 +355,10 @@ def _check(config: SystemConfig) -> ValidationReport:
         elif config.users and sorted(ids) != list(range(1, len(ids) + 1)):
             out.append(f"user ids must be contiguous 1..{len(ids)}, got {sorted(ids)}")
     reward = config.total_reward
-    if not (isinstance(reward, (int, float)) and math.isfinite(reward) and reward > 0):
+    if not (isinstance(reward, (int, float)) and 0 < reward < math.inf):
         out.append(f"total reward {reward!r} must be a positive finite number")
+    elif reward > sys.float_info.max:  # an integer no float holds
+        out.append(f"total reward is above the largest float {sys.float_info.max!r}")
     elif reward < sys.float_info.min:  # subnormal payoffs would round the solver's gaps away
         out.append(f"total reward {reward!r} is below the smallest normal float "
                    f"{sys.float_info.min!r}")
@@ -465,12 +467,14 @@ def config_from_dict(doc: Mapping, renormalize: bool = False) -> SystemConfig:
     total_reward = doc.get("total_reward", 1.0)
     if not isinstance(total_reward, (int, float)) or isinstance(total_reward, bool):
         raise ConfigFormatError("total_reward must be a number")
+    if abs(total_reward) <= sys.float_info.max:  # past it, kept for the check to report
+        total_reward = float(total_reward)
     return SystemConfig(
         num_classes=num_classes,
         confusion=confusion,
         users=tuple(users),
         prior=prior,
-        total_reward=float(total_reward),
+        total_reward=total_reward,
     )
 
 

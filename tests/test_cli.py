@@ -578,6 +578,21 @@ def test_validate_refuses_a_subnormal_reward(tmp_path, capsys, ref_config_path, 
         "2.2250738585072014e-308", "valid: no", "weakly accurate: yes"]
 
 
+@pytest.mark.parametrize("renormalize", [[], ["--renormalize"]], ids=["as-is", "renormalize"])
+def test_a_reward_past_the_float_range_is_reported(tmp_path, capsys, ref_config_path,
+                                                    renormalize):
+    """JSON holds integers that no float does: such a reward is a violation
+    like any other, not an OverflowError."""
+    path = amt10_with_reward(tmp_path, ref_config_path, 10**400)
+    line = "total reward is above the largest float 1.7976931348623157e+308"
+    assert main(["validate", path, *renormalize]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"violation: {line}", "valid: no", "weakly accurate: yes"]
+    assert captured.err == ""
+    assert main(["payoff", path, "--user", "1", "--c", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 def test_the_smallest_normal_reward_is_accepted(tmp_path, capsys, ref_config_path):
     path = amt10_with_reward(tmp_path, ref_config_path, 2.2250738585072014e-308)
     assert main(["validate", path]) == 0

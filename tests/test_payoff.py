@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,24 @@ def test_group_tables_match_factorial_formulas():
         np.testing.assert_allclose(prob, want, rtol=1e-15, atol=0)
 
 
+def test_group_tables_hold_no_truth_by_composition_by_class_array():
+    """The multinomial probabilities are built one class at a time: building
+    them for 6 rivals at K = 10 never holds the (truth, composition, class)
+    float array, 4.0 MB here, that raising every entry at once would."""
+    k = 10
+    confusion = np.full((k, k), 0.05) + 0.5 * np.eye(k)
+    engine = enumeration.ExactEnumerator(confusion, np.full(k, 1 / k), [1] * 6)
+    engine._binomials
+    tracemalloc.start()
+    try:
+        comps, probs = engine._groups
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k * len(comps[0]) * k * 8
+    np.testing.assert_allclose(probs[0].sum(axis=1), 1.0, rtol=1e-14)
+
+
 def test_total_reward_scales_the_estimate():
     cfg = fs.SystemConfig(
         num_classes=2,
@@ -334,6 +353,31 @@ def test_budget_refusal_directs_to_monte_carlo():
     query = fs.PayoffQuery(cfg, 1, fs.Strategy.single(1), 1.0, rivals)
     with pytest.raises(fs.EnumerationBudgetError):
         fs.expected_payoff_exact(query)
+
+
+def test_set_counts_past_the_float_range_are_refused():
+    """C(1030, 515) is past the largest float, so a group of 1030 rivals is
+    refused before its binomials are built, and nothing else is built."""
+    confusion, prior = np.array([[0.8, 0.2], [0.3, 0.7]]), np.array([0.4, 0.6])
+    engine = enumeration.ExactEnumerator(confusion, prior, [1] * 1030)
+    for query in (lambda: engine.payoffs([1], [[1.0]], [[1.0] * 1030]),
+                  lambda: engine.error_rates([1])):
+        with pytest.raises(fs.EnumerationBudgetError, match="a group of 1030 rivals"):
+            query()
+    assert engine._win == {} and not {"_binomials", "_groups"} & set(vars(engine))
+
+
+def test_every_exact_share_lies_in_the_unit_interval(ref_config):
+    """With user 1 at stake 100 the focal user wins nearly every round, and
+    its summed win mass rounded a hair past 1 (25 of these 300 shares) before
+    the engine clipped its result at 1."""
+    users = [dataclasses.replace(u, total_stake=100) if u.user_id == 1 else u
+             for u in ref_config.users]
+    config = dataclasses.replace(ref_config, users=tuple(users))
+    shares = concentrated_payoffs(config, 1, [1.0, 2.0, 16.0], range(1, 101))
+    assert shares.shape == (3, 100)
+    assert ((shares >= 0.0) & (shares <= 1.0)).all()
+    assert shares.max() == 1.0
 
 
 def test_refused_payoffs_build_nothing():
