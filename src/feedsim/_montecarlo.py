@@ -9,24 +9,26 @@ in proportion to their factors (`_split`). The scalar building blocks
 functions; `mc_rounds` and `payoff_mc` run them in whole-array passes
 whatever the number of users.
 
-A drawn batch is worked in blocks of at most `_CELLS` (user, round) cells, so
-each block's temporaries stay in cache. A block is taken user-major, users
-sorted by multiplicity, so users of equal multiplicity form one group of
-contiguous rows. Per CDF threshold, one compare of the block against its
-rounds' thresholds adds into the reports, and one `np.add.reduce` count per
-group, times the group's multiplicity, gives the vote weight at or above that
-threshold (`_tally` counts reports by `_draw`'s rule, fused with the vote
-count). The votes are differences of those weights, exact integers, and one
-pass per class finds the first winner. Reports are written back in user
-order.
+A batch's reports are worked in blocks of at most `_CELLS` (user, round)
+cells, so each block's temporaries stay in cache and a batch never holds its
+report uniforms at once: each block draws its own when it is tallied. A block
+is taken user-major, users sorted by multiplicity, so users of equal
+multiplicity form one group of contiguous rows. Per CDF threshold, one
+compare of the block against its rounds' thresholds adds into the reports,
+and one `np.add.reduce` count per group, times the group's multiplicity,
+gives the vote weight at or above that threshold (`_tally` counts reports by
+`_draw`'s rule, fused with the vote count). The votes are differences of
+those weights, exact integers; once every block is tallied, one pass per
+class over the batch's votes finds the first winner. Reports are written
+back in user order.
 
 The stream is a contract: a batch draws n truth uniforms, then n x users
 report uniforms, then one tie-break uniform per round, tied or not, in batches
 of exactly `_BATCH`, so a seed yields the same rounds on every version
-(`tests/helpers.reference_mc_rounds` is the reference). Blocks only split the
-work on a batch already drawn. Both CDFs drop their last column, so a uniform
-at or above a row's total (rows may sum to an ulp below 1) lands in the last
-class.
+(`tests/helpers.reference_mc_rounds` is the reference). The blocks draw the
+report uniforms in row order, which gives the doubles one draw of the whole
+batch would. Both CDFs drop their last column, so a uniform at or above a
+row's total (rows may sum to an ulp below 1) lands in the last class.
 """
 
 from __future__ import annotations
@@ -143,17 +145,17 @@ def mc_rounds(
         n = min(remaining, _BATCH)
         remaining -= n
         truth = _draw(prior, rng.random(n))
-        uniforms = rng.random((n, mults.size))
-        tie_uniforms = rng.random(n)
-        reports = np.empty(uniforms.shape, dtype=class_index)
-        output = np.empty(n, dtype=class_index)
+        reports = np.empty((n, mults.size), dtype=class_index)
+        votes = []
         for lo in range(0, n, block):
             part = slice(lo, lo + block)
-            block_reports, votes = _tally(uniforms[part].T[order], truth[part],
-                                          thresholds, groups)
+            # rows drawn block by block are the doubles one draw of the batch gives
+            uniforms = rng.random((truth[part].size, mults.size))
+            block_reports, block_votes = _tally(uniforms.T[order], truth[part],
+                                                thresholds, groups)
             reports[part, order] = block_reports.T
-            output[part] = _decide(votes, tie_uniforms[part])
-        yield truth, reports, output
+            votes.append(block_votes)
+        yield truth, reports, _decide(np.concatenate(votes, axis=1), rng.random(n))
 
 
 def spawn_seed(seed: int, *key: int) -> int:

@@ -89,7 +89,10 @@ def _parse_d_list(text: str) -> list[float]:
 
 def _parse_label_map(text: str) -> dict[str, int]:
     """A JSON object mapping raw labels to integer class indices (not bools)."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # such as an integer past Python's digit limit
+        raise ConfigFormatError(f"cannot parse --label-map: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigFormatError("--label-map must be a JSON object")
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in doc.values()):
@@ -261,7 +264,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigFormatError, FileNotFoundError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigFormatError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvalidConfigError, DMaxExceededError, EnumerationBudgetError,

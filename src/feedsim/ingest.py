@@ -12,8 +12,12 @@ codes into tuples of the distinct ids, and label and gold arrays.
 `read_annotation_csv` reads the CSV `_CHUNK` rows at a time and codes each
 chunk's fields before it reads the next, so it holds at most one chunk of
 field strings, the distinct ids and raw labels, and the integer columns; it
-builds no object per record. `estimate_confusion` counts over the codes with
-`np.bincount`.
+builds no object per record. One function, `_read_table`, holds the rules of
+a row. A chunk is checked only once all its rows are read, so on an error the
+same function reads the file again, decoding one physical line at a time:
+the chunks the first read finished whole, then one row per chunk, so the
+first bad row names its line. `estimate_confusion` counts over the codes
+with `np.bincount`.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from operator import add, is_not, length_hint
+from operator import add, is_not, length_hint, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -188,13 +193,8 @@ def _map_label(raw: str, settings: IngestSettings, num_classes: int,
     return value
 
 
-def _open_csv(path):
-    # utf-8-sig: spreadsheet exports may start with a byte order mark
-    return Path(path).open(newline="", encoding="utf-8-sig")
-
-
 def _decoded_lines(handle) -> Iterator[str]:
-    """The physical lines of a binary `handle` as `_open_csv` reads them,
+    """The physical lines of a binary `handle` as the text pass reads them,
     decoded one at a time, so that a byte that is not UTF-8 names its line
     (the text reader decodes a whole buffer before csv sees any of its rows)."""
     # split as newline="" does: at \n, \r and \r\n, endings kept
@@ -206,90 +206,72 @@ def _decoded_lines(handle) -> Iterator[str]:
             raise IngestError(f"line {number}: {exc}") from exc
 
 
-def _check_header(header: list[str] | None) -> None:
-    if header is None or tuple(header) != CSV_FIELDS:
-        raise IngestError(
-            f"annotation CSV must have header {','.join(CSV_FIELDS)}, "
-            f"got {header}"
-        )
-
-
-def _chunks(reader) -> Iterator[list[list[str]]]:
-    """The fields of each next `_CHUNK` rows of `reader`, one list per CSV
-    column, blank rows skipped. Raises IngestError, naming no line, if a row
-    has other than one field per column."""
-    width = len(CSV_FIELDS) + 1
-    end = [_ROW_END]
-    while True:
-        line = reader.line_num
-        ends = repeat(end, _CHUNK)
-        # each row gains one end marker, so a row of any other length moves
-        # every later marker off the stride; `ends` left over counts the rows
-        flat = list(chain.from_iterable(map(add, filter(None, islice(reader, _CHUNK)), ends)))
-        if reader.line_num == line:
-            return
-        rows = _CHUNK - length_hint(ends)
-        if len(flat) != width * rows or flat[width - 1::width].count(_ROW_END) != rows:
-            raise IngestError(f"a row does not have {len(CSV_FIELDS)} fields")
-        yield [flat[i::width] for i in range(len(CSV_FIELDS))]
-
-
-def _check_rows(path, settings: IngestSettings, num_classes: int) -> None:
-    """Read `path` row by row and raise its first error, naming the physical
-    line it ends on."""
-    valid: set[str] = set()  # raw labels already mapped
-    with Path(path).open("rb") as handle:
-        reader = csv.reader(_decoded_lines(handle))
-        try:
-            _check_header(next(reader, None))
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(CSV_FIELDS):
-                    raise IngestError(f"line {reader.line_num}: expected "
-                                      f"{len(CSV_FIELDS)} fields, got {len(row)}")
-                _, _, label, gold = row
-                for raw in (gold, label) if gold.strip() else (label,):
-                    if raw not in valid:
-                        _map_label(raw, settings, num_classes, f"line {reader.line_num}")
-                        valid.add(raw)
-        except csv.Error as exc:  # such as a field over the csv module's size limit
-            raise IngestError(f"line {reader.line_num}: {exc}") from exc
-
-
 def read_annotation_csv(path, settings: IngestSettings,
                         num_classes: int) -> AnnotationTable:
     """Read `task_id,annotator_id,label,gold_label` rows; empty gold = missing.
     Ids are stripped, blank lines are skipped, and errors name the physical
     line of the first bad row."""
+    path = Path(path)
+    sizes = repeat(_CHUNK, sys.maxsize)  # what is left counts the chunks begun
     try:
-        return _read_table(path, settings, num_classes)
-    except (IngestError, UnicodeDecodeError, csv.Error) as exc:
+        # utf-8-sig: spreadsheet exports may start with a byte order mark
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            return _read_table(csv.reader(handle), sizes, "a row", settings, num_classes)
+    except (IngestError, UnicodeDecodeError) as exc:
         error = exc
-    # a chunk is checked only once all its rows are read: re-read row by row
-    # for the first error in file order and its line (finding none, the file
-    # changed between the reads, and the chunk's error stands)
-    _check_rows(path, settings, num_classes)
+    # a chunk is checked only once all its rows are read: read again, the
+    # chunks the first pass finished whole and then row by row, for the first
+    # error in file order and its line (finding none, the file changed
+    # between the reads, and the first error stands)
+    finished = sys.maxsize - length_hint(sizes) - 1
+    with path.open("rb") as handle:
+        _read_table(csv.reader(_decoded_lines(handle)),
+                    chain(repeat(_CHUNK, finished), repeat(1)),
+                    "line {reader.line_num}", settings, num_classes)
     raise error
 
 
-def _read_table(path, settings: IngestSettings, num_classes: int) -> AnnotationTable:
+def _read_table(reader, sizes: Iterable[int], prefix: str, settings: IngestSettings,
+                num_classes: int) -> AnnotationTable:
+    """The table of csv `reader`'s rows, read and coded one chunk at a time,
+    each chunk as many rows as the next of `sizes`. The first bad chunk
+    raises IngestError, its message led by `prefix.format(reader=reader)`, so
+    a one-row chunk can name its row's line with `reader.line_num`."""
+    where = lambda: prefix.format(reader=reader)
     task_ids: dict[str, int] = {}
     annotator_ids: dict[str, int] = {}
     news = (
         lambda raw: task_ids.setdefault(raw.strip(), len(task_ids)),
         lambda raw: annotator_ids.setdefault(raw.strip(), len(annotator_ids)),
-        lambda raw: _map_label(raw, settings, num_classes, "a row"),
-        lambda raw: _map_label(raw, settings, num_classes, "a row") if raw.strip() else 0,
+        lambda raw: _map_label(raw, settings, num_classes, where()),
+        lambda raw: _map_label(raw, settings, num_classes, where()) if raw.strip() else 0,
     )
     indexes = tuple({} for _ in CSV_FIELDS)  # raw field -> code or class
     parts = tuple([np.empty(0, np.int64)] for _ in CSV_FIELDS)
-    with _open_csv(path) as handle:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None))
-        for columns in _chunks(reader):
-            for part, column, index, new in zip(parts, columns, indexes, news):
-                part.append(_code(column, index, new))
+    width = len(CSV_FIELDS) + 1
+    end = [_ROW_END]
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_FIELDS:
+            raise IngestError(f"annotation CSV must have header {','.join(CSV_FIELDS)}, "
+                              f"got {header}")
+        for size in sizes:
+            line = reader.line_num
+            ends = repeat(end, size)
+            # each row gains one end marker, so a row of any other length moves
+            # every later marker off the stride; `ends` left over counts the rows
+            flat = list(chain.from_iterable(map(add, filter(None, islice(reader, size)), ends)))
+            if reader.line_num == line:
+                break
+            rows = size - length_hint(ends)
+            if len(flat) != width * rows or flat[width - 1::width].count(_ROW_END) != rows:
+                stops = [-1, *(i for i, field in enumerate(flat) if field is _ROW_END)]
+                got = next(n for n in map(sub, stops[1:], stops) if n != width) - 1
+                raise IngestError(f"{where()}: expected {len(CSV_FIELDS)} fields, got {got}")
+            for i in (0, 1, 3, 2):  # gold before label: a row with both wrong names its gold
+                parts[i].append(_code(flat[i::width], indexes[i], news[i]))
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise IngestError(f"{where()}: {exc}") from exc
     tasks, annotators, labels, golds = map(np.concatenate, parts)
     return AnnotationTable(
         task_ids=tuple(task_ids), annotator_ids=tuple(annotator_ids),

@@ -423,8 +423,8 @@ def read_config_document(path) -> dict:
         raise ConfigFormatError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigFormatError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # such as an integer past Python's digit limit
+        raise ConfigFormatError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigFormatError("config document must be a JSON object")
     return doc

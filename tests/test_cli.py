@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import sys
 import time
 
 import numpy as np
@@ -347,6 +348,14 @@ def test_estimate_cm_field_over_the_csv_limit_names_its_line(tmp_path, capsys):
     assert err == f"error: line 4: field larger than field limit ({csv.field_size_limit()})\n"
 
 
+def test_estimate_cm_header_field_over_the_csv_limit_names_line_1(tmp_path, capsys):
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text(f'task_id,{"x" * 200_000},label,gold_label\nt1,a,1,1\n')
+    assert main(["estimate-cm", str(csv_path), "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: line 1: field larger than field limit ({csv.field_size_limit()})\n"
+
+
 @pytest.mark.parametrize("line", [3, 3001])
 def test_estimate_cm_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, line):
     """The text reader fails on a whole buffer before csv sees its rows; the
@@ -412,6 +421,11 @@ def test_estimate_cm_label_missing_from_the_label_map_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 3: label 'maybe' missing from label map\n"
 
 
+# Python refuses to parse a JSON integer of more than 4 300 digits since 3.10.7
+DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                 reason="this Python has no integer digit limit")
+
+
 def assert_one_line_exit_2(code, capsys, field):
     err = capsys.readouterr().err
     assert code == 2
@@ -460,8 +474,24 @@ def test_ill_formed_prior_exits_2(tmp_path, capsys, ref_config_path, command, pr
     assert_one_line_exit_2(code, capsys, "prior")
 
 
+@DIGIT_LIMIT
+@pytest.mark.parametrize("command", [
+    ["validate"], ["payoff", "--user", "1"], ["solve-d"], ["sweep", "--out", "sweep.csv"]
+], ids=lambda args: args[0])
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys, ref_config_path, command):
+    """A config Python cannot parse is unreadable, and the message names its file."""
+    doc = {**json.loads(ref_config_path.read_text()), "total_reward": 0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc).replace('"total_reward": 0',
+                                            '"total_reward": 1' + "0" * 5000))
+    code = main([command[0], str(path), *command[1:]])
+    assert_one_line_exit_2(code, capsys, str(path))
+
+
 @pytest.mark.parametrize("label_map", ["[1]", '"x"', '{"yes": null}', '{"yes": true}',
-                                       '{"yes": 1.7}', '{"yes": "1"}'])
+                                       '{"yes": 1.7}', '{"yes": "1"}', "{bad",
+                                       pytest.param('{"yes": 1' + "0" * 5000 + "}",
+                                                    id="5000-digits", marks=DIGIT_LIMIT)])
 def test_estimate_cm_ill_formed_label_map_exits_2(tmp_path, capsys, label_map):
     csv_path = tmp_path / "records.csv"
     csv_path.write_text("task_id,annotator_id,label,gold_label\nt1,a,yes,yes\n")

@@ -4,8 +4,8 @@ Small random networks carry an `experiment` section whose fields, like the
 `--c-range`, `--d-list`, `--samples` and `--seed` flags, take values of every
 JSON kind. A sweep either writes a CSV of finite numbers or exits 1 or 2 with
 exactly one `error:` line and no output or temporary file. `payoff` on the
-same networks, with one of its flags of any JSON kind, prints a finite
-payoff or exits 1 or 2 the same way. amt10 with one top-level field, or one
+same networks, with a total reward R and one of its flags of any JSON kind,
+prints a payoff in [0, R] or exits 1 or 2 the same way. amt10 with one top-level field, or one
 confusion or prior entry, of any JSON kind goes through `validate`, `payoff`
 and `solve-d` the same way. So do `validate` (with and without
 `--renormalize`) on small networks with one field of any JSON kind, `solve-d`
@@ -135,9 +135,10 @@ def test_sweep_ends_in_0_1_or_2(sweep):
 
 @st.composite
 def payoffs(draw):
-    """A `networks` document and well-formed payoff flags (`--c` may exceed the
-    user's stake); at most one flag then takes a value of any JSON kind."""
-    doc = draw(networks())
+    """A `networks` document with a total reward, and well-formed payoff flags
+    (`--c` may exceed the user's stake); at most one flag then takes a value of
+    any JSON kind."""
+    doc = {**draw(networks()), "total_reward": draw(st.sampled_from([1e-3, 1, 7.5, 1e300]))}
     flags = draw(st.fixed_dictionaries(
         # --user is required, and --samples always given: the 10^6 default
         # would take too long
@@ -168,9 +169,10 @@ def test_payoff_ends_in_0_1_or_2(case):
     if code:
         assert sum("error:" in line for line in err.splitlines()) == 1, err
     else:
+        # a sole winner earns R, printed to 12 significant digits
         fields = dict(field.split("=") for field in out.split())
-        assert math.isfinite(float(fields["expected_payoff"])), out
-        assert math.isfinite(float(fields["std_error"])), out
+        assert 0 <= float(fields["expected_payoff"]) <= float(f"{doc['total_reward']:.12g}"), out
+        assert 0 <= float(fields["std_error"]) < math.inf, out
 
 
 @st.composite

@@ -8,6 +8,7 @@ every user's report and the decided output must agree array for array.
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -140,6 +141,20 @@ def test_stream_matches_loop_kernel_with_16_bit_reports():
     (_, reports, _), = _montecarlo.mc_rounds(confusion, prior, mults, 400,
                                              np.random.default_rng(8))
     assert reports.dtype == np.uint16 and reports.max() == k - 1
+
+
+def test_a_batch_draws_its_report_uniforms_block_by_block():
+    """A full batch of 200 users holds 13 MB of reports; its 105 MB of report
+    uniforms are drawn a block at a time, so it never holds them at once."""
+    rounds = _montecarlo.mc_rounds(_uniform_rows(5), np.full(5, 0.2), [1] * 200,
+                                   _montecarlo._BATCH, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        next(rounds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_one_user_network_outputs_its_report():
