@@ -13,15 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
 from . import __version__
 from .constants import DEFAULT_MC_SAMPLES, DEFAULT_SEED
 from .enumeration import EnumerationBudgetError
 from .ingest import IngestError, IngestSettings, estimate_confusion, read_annotation_csv
-from .metrics import experiment_from_dict, run_experiment, write_sweep_csv
+from .metrics import experiment_from_dict, run_experiment, sweep_rows_to_csv
 from .model import (
     ConfigFormatError,
     InvalidConfigError,
@@ -38,32 +36,16 @@ from .solver import DMaxExceededError, SolverSettings, find_d_opt, \
 _THREADS_HELP = "accepted for compatibility; has no effect"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance written next to every output file. `inputs` names each input
-    file by the kind of input it is, such as `config_path` or `records_path`."""
-
-    command: str
-    inputs: dict[str, str]
-    seed: int
-    tool_version: str
-    timestamp: str
-
-    @classmethod
-    def capture(cls, command: str, seed: int, **inputs) -> "RunManifest":
-        return cls(
-            command=command,
-            inputs={key: str(path) for key, path in inputs.items()},
-            seed=int(seed),
-            tool_version=__version__,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-        )
-
-    def write_beside(self, output_path) -> None:
-        sidecar = Path(str(output_path) + ".manifest.json")
-        doc = {"command": self.command, **self.inputs, "seed": self.seed,
-               "tool_version": self.tool_version, "timestamp": self.timestamp}
-        write_text_atomic(sidecar, json.dumps(doc, indent=2) + "\n")
+def _write_output(path, text: str, command: str, seed: int, **inputs) -> None:
+    """Write a command's output file, then its `<path>.manifest.json` sidecar,
+    both atomically. The sidecar records the command, each input file by the
+    kind of input it is (such as `config_path` or `records_path`), the seed,
+    the tool version and the time."""
+    write_text_atomic(path, text)
+    manifest = {"command": command, **{key: str(value) for key, value in inputs.items()},
+                "seed": int(seed), "tool_version": __version__,
+                "timestamp": datetime.now(timezone.utc).isoformat()}
+    write_text_atomic(f"{path}.manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _parse_c_range(text: str) -> range | list[int]:
@@ -151,10 +133,8 @@ def cmd_solve_d(args) -> int:
           f"satisfied={'yes' if certificate.satisfied else 'no'}")
     for path, doc in ((args.out, certificate.to_dict()), (args.diagnostics, diagnostics)):
         if path:
-            write_text_atomic(path, json.dumps(doc, indent=2) + "\n")
-            RunManifest.capture("solve-d", DEFAULT_SEED, config_path=args.config).write_beside(
-                path
-            )
+            _write_output(path, json.dumps(doc, indent=2) + "\n", "solve-d", DEFAULT_SEED,
+                          config_path=args.config)
     return 0
 
 
@@ -172,8 +152,7 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
     )
     rows = run_experiment(spec)
-    write_sweep_csv(rows, args.out)
-    RunManifest.capture("sweep", spec.seed, config_path=args.config).write_beside(args.out)
+    _write_output(args.out, sweep_rows_to_csv(rows), "sweep", spec.seed, config_path=args.config)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -191,9 +170,8 @@ def cmd_estimate_cm(args) -> int:
     matrix, report = estimate_confusion(records, settings, args.k)
     fragment = {"num_classes": args.k, "confusion": matrix.entries.tolist()}
     if args.out:
-        write_text_atomic(args.out, json.dumps(fragment, indent=2) + "\n")
-        RunManifest.capture("estimate-cm", DEFAULT_SEED,
-                            records_path=args.records).write_beside(args.out)
+        _write_output(args.out, json.dumps(fragment, indent=2) + "\n", "estimate-cm",
+                      DEFAULT_SEED, records_path=args.records)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 

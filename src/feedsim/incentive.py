@@ -42,7 +42,8 @@ class MechanismParams:
 
 
 def stake_power(stake: int, d: float) -> float:
-    """``stake ** d`` in double precision, with the stake-1 case exact."""
+    """``stake ** d`` in double precision, with the stake-1 case exact. A
+    power past the float range raises OverflowError naming the stake and d."""
     stake = int(stake)
     if stake < 1:
         raise ValueError(f"stake must be >= 1, got {stake}")
@@ -50,7 +51,10 @@ def stake_power(stake: int, d: float) -> float:
         raise ValueError(f"exponent must be >= 1, got {d!r}")
     if stake == 1:
         return 1.0
-    return math.pow(float(stake), d)
+    try:
+        return math.pow(float(stake), d)
+    except OverflowError:
+        raise OverflowError(f"stake {stake} raised to d={d!r} is past the float range") from None
 
 
 def reward_factor(stake: int, reported: int, decided: int, d: float) -> float:

@@ -3,17 +3,16 @@
 Row i of the gap matrix holds mirror - single payoff for every deviation
 (user n running c >= 2 oracles while everyone else runs one) at the grid
 value round(start + i * eps, 12). The answer is the first row whose gaps are
-all <= 0, so it is minimal on the grid. Exactly, rows come in blocks: one
-engine call per distinct stake, largest first, covers all oracle counts of
-every user with that stake at every exponent of the block, and the
-certificate, evaluations, grid points and reversals are read off those rows.
-With the engine's canonical group order, the lowest-id user of a stake only
-sets the call count: any user of that stake gets the same payoffs.
-Once the engine refuses a block as over its cell budget, each check is two
-Monte Carlo runs of `DEFAULT_MC_SAMPLES` rounds from `DEFAULT_SEED`, and sampled
-rows go one at a time, starting from the last violation seen and stopping at
-the first. `_Gaps.rows` is the one place that routes rows: `verify_nash` is
-the search's one-row case, over the grid {d}.
+all <= 0, so it is minimal on the grid. A deviation's payoffs depend only on
+the user's stake and the rivals' stakes, so on both routes the lowest-id user
+of a stake answers for every user of that stake; `_Row` alone expands a row's
+answers to users. Exactly, rows come in blocks: one engine call per distinct
+stake, largest first, covers all its oracle counts at every exponent of the
+block. Once the engine refuses a block as over its cell budget, each distinct
+(stake, c) of a row is two Monte Carlo runs of `DEFAULT_MC_SAMPLES` rounds
+from `DEFAULT_SEED`, and sampled rows go one at a time, starting from the last
+violation seen and stopping at the first. `_Gaps.rows` alone routes rows:
+`verify_nash` is the search's one-row case, over the grid {d}.
 
 A variant accepts the observed per-oracle stake vector in place of the
 (unobservable) per-user staking powers; when every user actually runs one
@@ -25,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -139,46 +139,55 @@ class DMaxExceededError(RuntimeError):
 
 
 class _Row(NamedTuple):
-    """One grid row: the (user, c) pairs evaluated, in deviation order, with
-    the (single, mirror) payoffs of each."""
+    """One grid row: the (single, mirror) payoffs of each answer evaluated,
+    and the map from every deviation to its answer, in certificate order."""
 
     d: float
-    pairs: Sequence[tuple[int, int]]
-    values: Sequence[tuple[float, float]]
+    answers: dict[tuple[int, int], tuple[float, float]]
+    deviations: dict[tuple[int, int], tuple[int, int]]
 
     @property
     def satisfied(self) -> bool:
-        return all(mirror <= single for single, mirror in self.values)
+        return all(mirror <= single for single, mirror in self.answers.values())
 
-    def checks(self) -> tuple[NashCheck, ...]:
-        return tuple(NashCheck(n, c, single, mirror)
-                     for (n, c), (single, mirror) in zip(self.pairs, self.values))
+    def items(self):
+        """Each deviation whose answer the row holds, with its payoffs, in certificate
+        order; a sampled row that stopped early lacks the answers it did not reach."""
+        payoffs = map(self.answers.get, self.deviations.values())
+        return filter(itemgetter(1), zip(self.deviations, payoffs))
+
+    def certificate(self) -> NashCertificate:
+        checks = tuple(NashCheck(n, c, *payoffs) for (n, c), payoffs in self.items())
+        return NashCertificate(d=self.d, checks=checks, satisfied=self.satisfied)
 
 
 class _Gaps:
     """Rows of the gap matrix: both sides of every deviation check at each
     grid exponent. Rivals run single full-stake oracles, so every focal user
-    shares one engine, the config's own."""
+    shares one engine, the config's own, and users of equal stake face the
+    same rival multiset: the lowest-id one answers for all of them."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
-        self.users = sorted(config.users, key=lambda u: u.user_id)
-        self.deviations = [
-            (u.user_id, c) for u in self.users for c in u.oracle_counts()[1:]
-        ]
         self.engine = single_oracle_rivals(config)
+        self.deviations = {}  # (user, c), in certificate order -> the (user, c) answering it
+        leaders = {}
+        for u in sorted(config.users, key=lambda u: u.user_id):
+            leader = leaders.setdefault(u.total_stake, u.user_id)
+            for c in u.oracle_counts()[1:]:
+                self.deviations[u.user_id, c] = (leader, c)
 
     def exact_rows(self, ds: Sequence[float]):
-        """The (single, mirror) payoffs of every deviation at each exponent in
-        `ds` in turn, from one engine call per distinct stake.
+        """The (single, mirror) payoffs of every answer at each exponent in
+        `ds` in turn, from one engine call per answering user.
 
-        Users of equal stake face the same rival multiset, so the lowest-id
-        one answers for all of them. The largest stake goes first: its call
-        builds the win tables of every count the later calls read. The block
-        ends before the first exponent at which a stake factor overflows, so
-        only a row the search reaches can raise.
+        The largest stake goes first: its call builds the win tables of every
+        count the later calls read. The block ends before the first exponent
+        at which a stake factor overflows, so only a row the search reaches
+        can raise.
         """
-        stakes = [u.total_stake for u in self.users]
+        # ids run 1..N, so user n's stake is stakes[n - 1]
+        stakes = [u.total_stake for u in sorted(self.config.users, key=lambda u: u.user_id)]
         power = []
         for d in ds:
             try:
@@ -189,31 +198,27 @@ class _Gaps:
                 break
         power = np.array(power)
         tables = {}
-        for stake in sorted({s for s in stakes if s >= 2}, reverse=True):
-            i = stakes.index(stake)
-            tables[stake] = _concentrated(self.engine, stake, np.arange(1, stake + 1),
-                                          stakes[:i] + stakes[i + 1:],
-                                          lambda s: power[:, np.array(s, dtype=np.int64) - 1],
-                                          self.config.total_reward).tolist()
-        per_user = [tables[s] for s in stakes if s >= 2]
-        return [[(payoffs[0], mirror) for payoffs in (t[row] for t in per_user)
-                 for mirror in payoffs[1:]] for row in range(len(power))]
+        for n in sorted({n for n, _ in self.deviations.values()}, key=lambda n: -stakes[n - 1]):
+            stake = stakes[n - 1]
+            tables[n] = _concentrated(self.engine, stake, np.arange(1, stake + 1),
+                                      stakes[:n - 1] + stakes[n:],
+                                      lambda s: power[:, np.array(s, dtype=np.int64) - 1],
+                                      self.config.total_reward).tolist()
+        answers = [(n, c) for n in tables for c in range(2, stakes[n - 1] + 1)]
+        return [dict(zip(answers, [(payoffs[0], mirror)
+                                   for payoffs in (t[row] for t in tables.values())
+                                   for mirror in payoffs[1:]]))
+                for row in range(len(power))]
 
     def mc_check(self, user_id: int, c: int, d: float, grid_index: int) -> tuple[float, float]:
         """Sampled (single, mirror) payoffs of one deviation."""
         stake = self.config.user(user_id).total_stake
-        results = []
-        for side, strategy in enumerate(
-            (Strategy.single(stake), Strategy.concentrated(stake, c))
-        ):
-            results.append(
-                expected_payoff_mc(
-                    PayoffQuery(self.config, user_id, strategy, d),
-                    samples=DEFAULT_MC_SAMPLES,
-                    seed=spawn_seed(DEFAULT_SEED, grid_index, user_id, c, side),
-                )
-            )
-        single, mirror = results
+        single, mirror = (
+            expected_payoff_mc(PayoffQuery(self.config, user_id, strategy, d),
+                               samples=DEFAULT_MC_SAMPLES,
+                               seed=spawn_seed(DEFAULT_SEED, grid_index, user_id, c, side))
+            for side, strategy in enumerate(
+                (Strategy.single(stake), Strategy.concentrated(stake, c))))
         margin = _MC_MARGIN * math.hypot(single.std_error, mirror.std_error)
         if single.value < mirror.value <= single.value + margin:
             # within sampling noise: count as holding to avoid inflating d
@@ -236,24 +241,24 @@ class _Gaps:
                 block = self.exact_rows(ds)
             except EnumerationBudgetError:
                 break
-            for d, values in zip(ds, block):
+            for d, answers in zip(ds, block):
                 index += 1
-                yield _Row(d, self.deviations, values)
+                yield _Row(d, answers, self.deviations)
         warm = None
+        distinct = dict.fromkeys(self.deviations.values())
         for index in itertools.count(index):
             d = grid(index)
             if d is None:
                 return
             more_rows = grid(index + 1) is not None
-            checks = {}
-            for pair in sorted(self.deviations, key=lambda pair: pair != warm):
-                single, mirror = checks[pair] = self.mc_check(*pair, d, index)
+            answers = {}
+            for pair in sorted(distinct, key=lambda pair: pair != warm):
+                single, mirror = answers[pair] = self.mc_check(*pair, d, index)
                 if mirror > single:
                     warm = pair
                     if more_rows:
                         break
-            pairs = [pair for pair in self.deviations if pair in checks]
-            yield _Row(d, pairs, [checks[pair] for pair in pairs])
+            yield _Row(d, answers, self.deviations)
 
 
 def verify_nash(config: SystemConfig, d: float) -> NashCertificate:
@@ -261,8 +266,7 @@ def verify_nash(config: SystemConfig, d: float) -> NashCertificate:
     search's one-row case, whose only row is complete."""
     if d < 1.0:
         raise ValueError(f"exponent must be >= 1, got {d!r}")
-    row = next(_Gaps(config).rows(lambda index: None if index else d))
-    return NashCertificate(d=d, checks=row.checks(), satisfied=row.satisfied)
+    return next(_Gaps(config).rows(lambda index: None if index else d)).certificate()
 
 
 def find_d_opt(
@@ -278,7 +282,7 @@ def find_d_opt(
     (user, oracle count) pair across increasing d.
     """
     settings = settings or SolverSettings()
-    visited = []  # kept only for diagnostics: a row holds every deviation's payoffs
+    visited = []  # kept only for diagnostics
     # with no user able to afford a second oracle, the first row holds vacuously
     for row in _Gaps(config).rows(settings.grid_d):
         if diagnostics is not None:
@@ -286,35 +290,30 @@ def find_d_opt(
         if row.satisfied:
             break
     else:
-        last = NashCertificate(d=row.d, checks=row.checks(), satisfied=False)
-        raise DMaxExceededError(settings.d_max, last.tightest_violation())
+        raise DMaxExceededError(settings.d_max, row.certificate().tightest_violation())
     if diagnostics is not None:
         evaluations = [
             {"d": r.d, "n": n, "c": c, "payoff_single": single, "payoff_mirror": mirror,
              "holds": mirror <= single}
-            for r in visited for (n, c), (single, mirror) in zip(r.pairs, r.values)
+            for r in visited for (n, c), (single, mirror) in r.items()
         ]
         diagnostics["evaluations"] = evaluations
         diagnostics["grid_points"] = len(visited)
         diagnostics["reversals"] = _reversals(evaluations)
-    return row.d, NashCertificate(d=row.d, checks=row.checks(), satisfied=True)
+    return row.d, row.certificate()
 
 
 def _reversals(evaluations: list[dict]) -> list[dict]:
     """Each (user, c) that held at one grid row and failed at a later one."""
-    history: dict[tuple[int, int], list[tuple[float, bool]]] = {}
+    held_at, out = {}, []
     for e in evaluations:
-        history.setdefault((e["n"], e["c"]), []).append((e["d"], e["holds"]))
-    out = []
-    for (user_id, c), entries in sorted(history.items()):
-        passed_at = None
-        for d, holds in entries:
-            if holds and passed_at is None:
-                passed_at = d
-            elif not holds and passed_at is not None:
-                out.append({"n": user_id, "c": c, "held_at": passed_at, "failed_at": d})
-                passed_at = None
-    return out
+        pair = (e["n"], e["c"])
+        if e["holds"]:
+            held_at.setdefault(pair, e["d"])
+        elif pair in held_at:
+            out.append({"n": e["n"], "c": e["c"], "held_at": held_at.pop(pair),
+                        "failed_at": e["d"]})
+    return sorted(out, key=lambda r: (r["n"], r["c"]))
 
 
 def find_d_opt_from_oracle_stakes(

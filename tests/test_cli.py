@@ -48,6 +48,13 @@ def test_validate_domain_violation_exits_1(tmp_path, capsys):
     )
     assert main(["validate", str(path)]) == 1
     assert "row 2 sums to 0.9" in capsys.readouterr().out
+    # a row of zeros cannot be rescaled to unit sum
+    path.write_text(
+        '{"num_classes": 2, "confusion": [[0.0, 0.0], [0.4, 0.6]],'
+        ' "users": [{"id": 1, "stake": 1}]}'
+    )
+    assert main(["validate", str(path), "--renormalize"]) == 1
+    assert capsys.readouterr().err == "error: cannot renormalize a row with non-positive sum\n"
 
 
 @pytest.mark.parametrize("flags,code,report", [
@@ -111,6 +118,8 @@ def test_payoff_single_user(tmp_path, capsys):
 def test_payoff_infeasible_c_exits_1(trio_path, capsys):
     assert main(["payoff", trio_path, "--user", "1", "--c", "3"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["payoff", trio_path, "--user", "1", "--d", "0.5"]) == 1
+    assert capsys.readouterr().err == "error: exponent must be >= 1, got 0.5\n"
 
 
 def test_payoff_monte_carlo(trio_path, capsys):
@@ -233,7 +242,15 @@ def test_sweep_with_a_factor_total_past_the_float_range(ref_config_path, tmp_pat
 
 def test_a_factor_past_the_float_range_still_exits_1(ref_config_path, capsys):
     assert main(["payoff", str(ref_config_path), "--user", "1", "--c", "1", "--d", "341.4"]) == 1
-    assert capsys.readouterr().err == "error: math range error\n"
+    assert capsys.readouterr().err == "error: stake 8 raised to d=341.4 is past the float range\n"
+
+
+def test_a_search_past_the_float_range_names_the_stake(tmp_path, capsys):
+    """No exponent settles binary stakes (3, 1): an unbounded search walks
+    the grid until 3 ** d leaves the float range, at d = 646.08."""
+    path = write_config(tmp_path / "pair.json", helpers.symmetric_binary_config([3, 1]))
+    assert main(["solve-d", path, "--d-max", "inf"]) == 1
+    assert capsys.readouterr().err == "error: stake 3 raised to d=646.08 is past the float range\n"
 
 
 def test_solve_d_from_oracle_stakes_matches(trio_path, capsys):

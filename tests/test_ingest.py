@@ -24,6 +24,8 @@ def test_all_correct_pool_yields_identity():
     assert np.array_equal(matrix.entries, np.eye(2))
     assert report.kept_records == 4
     assert report.dropped_annotators == ()
+    with pytest.raises(fs.IngestError, match="need at least two classes"):
+        fs.estimate_confusion(records, fs.IngestSettings(), 1)
 
 
 def test_records_without_gold_are_dropped():

@@ -81,11 +81,13 @@ def test_bad_prior_and_stakes_reported():
         fs.SystemConfig(
             num_classes=2,
             confusion=fs.ConfusionMatrix.identity(2),
-            users=(fs.UserProfile(1, 0), fs.UserProfile(1, 2)),
-            prior=fs.ClassPrior([0.7, 0.7]),
+            users=(fs.UserProfile(1, 0), fs.UserProfile(1, 2), fs.UserProfile(2, 2.5)),
+            prior=fs.ClassPrior([-0.3, 1.4]),
         )
     text = "\n".join(caught.value.report.violations)
+    assert "prior has negative or non-finite entries" in text
     assert "prior sums to" in text
+    assert "user 2: stake 2.5 is not an integer" in text
     assert "below the minimum stake" in text
     assert "not unique" in text
 
@@ -133,6 +135,8 @@ def test_renormalize_is_explicit_opt_in():
     fixed = m.renormalized()
     assert not fixed.violations()
     assert fixed.entries[0, 0] == pytest.approx(0.5 / 0.9)
+    with pytest.raises(ValueError, match="cannot renormalize a row with non-positive sum"):
+        fs.ConfusionMatrix([[0.0, 0.0], [0.25, 0.75]]).renormalized()
 
 
 def test_sample_report_identity_is_deterministic():
@@ -236,6 +240,7 @@ def test_config_decimal_parse_is_exact(tmp_path):
         '{"confusion": [[1]], "users": []}',
         '{"num_classes": 2, "confusion": [[1, 0]], "users": []}',
         '{"num_classes": 2, "confusion": [[1,0],[0,1]], "users": [{"id": 1}]}',
+        '[1, 2]',
     ],
 )
 def test_malformed_documents_raise_format_error(tmp_path, text):

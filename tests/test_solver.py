@@ -71,9 +71,27 @@ def test_one_engine_call_per_distinct_stake(fresh_ref_config, monkeypatch):
     assert calls == {"__init__": 1, "_groups": 1, "payoffs": 14, "_win_tables": 1}
 
 
-@pytest.mark.parametrize("d", [1.0, 2.27, 2.28])
-def test_users_of_equal_stake_get_equal_checks(ref_config, d):
-    cert = fs.verify_nash(ref_config, d)
+@pytest.mark.parametrize("d,samples", [(1.0, None), (2.27, None), (2.28, None), (2.28, 200)],
+                         ids=["1.0", "2.27", "2.28", "2.28-sampled"])
+def test_users_of_equal_stake_get_equal_checks(fresh_ref_config, monkeypatch, d, samples):
+    """On both routes the lowest-id user of a stake answers for the others.
+    With the engine refused, the row samples each of amt10's 28 distinct
+    (stake, c) once, not each of its 45 deviations."""
+    sampled = Counter()
+    if samples:
+        monkeypatch.setattr(enumeration, "_BUDGET", 1)
+        monkeypatch.setattr(solver, "DEFAULT_MC_SAMPLES", samples)
+        mc_check = solver._Gaps.mc_check
+
+        def counted(gaps, user_id, c, *args):
+            sampled[fresh_ref_config.user(user_id).total_stake, c] += 1
+            return mc_check(gaps, user_id, c, *args)
+
+        monkeypatch.setattr(solver._Gaps, "mc_check", counted)
+    cert = fs.verify_nash(fresh_ref_config, d)
+    assert len(cert.checks) == 45
+    if samples:
+        assert len(sampled) == 28 and set(sampled.values()) == {1}
     per_user = {}
     for check in cert.checks:
         per_user.setdefault(check.user_id, []).append(
@@ -160,7 +178,8 @@ def test_find_d_opt_matches_bruteforce_grid(seed):
 def test_minimality_on_the_grid(trio_config):
     settings = fs.SolverSettings(epsilon=0.05)
     d_opt, _ = fs.find_d_opt(trio_config, settings)
-    assert fs.verify_nash(trio_config, d_opt).satisfied
+    at = fs.verify_nash(trio_config, d_opt)
+    assert at.satisfied and at.tightest_violation() is None
     below = fs.verify_nash(trio_config, d_opt - settings.epsilon)
     assert not below.satisfied
     tightest = below.tightest_violation()
