@@ -117,9 +117,9 @@ def cmd_solve_d(args) -> int:
     diagnostics = {} if args.diagnostics else None
     if args.from_oracle_stakes:
         # observed per-oracle stakes: with default single-oracle participation
-        # the config's stake list is exactly that vector
+        # the config's stakes in user-id order are exactly that vector
         d_opt, certificate = find_d_opt_from_oracle_stakes(
-            [u.total_stake for u in config.users],
+            [u.total_stake for u in sorted(config.users, key=lambda u: u.user_id)],
             config.confusion,
             config.num_classes,
             settings,

@@ -8,12 +8,11 @@ each class.
 
 Payoffs: for the focal report v, let k hold, per multiplicity group, the
 number of rivals that also report v. The focal user's win mass (its votes
-against the best rival class, ties split uniformly) is summed per k into a
-table that is built once per focal oracle count from the multinomial report
-counts of each group; it depends on neither d nor the factors. A state's
-standings (`_standings`) are found once for all counts, and a count is one
-`bincount`: about 0.23 ms per amt10 count on a 2-core machine. A finished
-table is divided once per k by the rival sets behind k, prod_g C(n_g, k_g).
+against the best rival class, ties split uniformly) is summed per k, from
+the multinomial report counts of each group, into one table for every focal
+count, independent of d and the factors: a count's row is a prefix sum over
+the votes v trails the top by (`_standings`). It takes about 0.14 ms on amt10
+(2-core machine), and is divided once per k by the rival sets behind k.
 A query groups the rivals by (multiplicity, factor), in sorted order, sums
 f / (f + M) over every split of the matching rivals across those groups,
 weighted by the number of rival sets with that split (M is the split's
@@ -34,15 +33,15 @@ report counts give its vote-count vectors and their probability per truth
 class; folding the groups in one at a time, with equal vectors merged after
 each fold, gives the distribution of the rival vote-count vector, built once.
 Multinomial coefficients and set counts come from one table of binomials.
-Each (vector, focal report) splits its truth mass once into non-negative
-parts, and a count picks among them in one pass: amt10's c = 1..8 take
-about 0.45 ms, or 50 ms with every user mirroring at full stake (149 735
-vectors).
+Its truth mass splits into non-negative parts, binned by gap like the win
+table: amt10's c = 1..8 take about 0.12 ms, or 14 ms with every user
+mirroring at full stake (141 745 vectors).
 
 A query is priced in the float64 cells it would build, from the group sizes
 alone, and refused over `_BUDGET` before anything is allocated: amt10's
 largest solver call costs 6.9e4 cells, 12 to 40 users at K = 5 1.3e5 to 1.2e8.
-A query pays only for the win tables of counts its engine has not built yet.
+The query that builds the win table pays, as a placeholder, for per-count
+tables of its distinct counts, or the table itself where that is larger.
 A group of 1030 or more rivals is refused too: its set counts, C(n, k), pass
 the float range.
 
@@ -55,7 +54,6 @@ payoffs and error rates on one config read the same tables.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from collections import Counter
@@ -71,13 +69,6 @@ class EnumerationBudgetError(RuntimeError):
     """An exact query would build more cells than the budget; use the Monte Carlo path."""
 
 
-def _compositions(n: int, k: int) -> np.ndarray:
-    """Every way to spread n reports over k classes, one row per way."""
-    bars = np.array(list(itertools.combinations(range(n + k - 1), k - 1)), dtype=np.int64)
-    ends = np.ones((len(bars), 1), dtype=np.int64)
-    return np.diff(np.hstack([-ends, bars, (n + k - 1) * ends])) - 1
-
-
 def _blocks(radix: Sequence[int], rows: int):
     """Mixed-radix digits of 0..prod(radix)-1 as (len(radix), rows) arrays,
     at most `rows` rows at a time."""
@@ -89,15 +80,15 @@ def _blocks(radix: Sequence[int], rows: int):
 
 
 def _standings(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per class (row) and state (column): the class's lead over the state's
-    top count (0 at the top), and how many other classes hold the top.
+    """Per class (row) and state (column): the votes the class trails the
+    state's top count by (0 at the top), and how many other classes hold it.
 
-    With c >= 1 focal votes on class v, v wins alone when lead + c > 0, ties
-    the top when it is 0 and trails below: a class that holds the top alone
+    With c >= 1 focal votes on class v, v wins alone when its gap is below c,
+    ties the top at gap c and trails above: a class that holds the top alone
     leads, so no runner-up is needed."""
-    lead = votes - votes.max(axis=0)
-    at_top = lead == 0
-    return lead, at_top.sum(axis=0) - at_top
+    gap = votes.max(axis=0) - votes
+    at_top = gap == 0
+    return gap, at_top.sum(axis=0) - at_top
 
 
 class ExactEnumerator:
@@ -128,7 +119,7 @@ class ExactEnumerator:
         # a perfect confusion matrix), so every rival matches the focal report.
         truth_weight = self.prior[:, None] * self.confusion
         self._all_match = bool(np.all((self.confusion == 1.0) | (truth_weight == 0.0)))
-        self._win: dict[int, np.ndarray] = {}
+        self._gaps = sum(self.mults) + 1  # a class trails the top by 0..V rival votes
 
     def _afford(self, cells: int) -> None:
         """Refuse a query that would build more than `_BUDGET` float64 cells."""
@@ -154,39 +145,43 @@ class ExactEnumerator:
     @functools.cached_property
     def _groups(self) -> tuple[list, list]:
         """Per multiplicity group: its report counts per class (one row per
-        composition) and their probability per truth."""
-        binom = self._binomials
+        composition, in lexicographic order) and their probability per truth,
+        folded in one class at a time: each row places x = 0..left of the
+        reports left in C(left, x) ways, and the last class takes all left."""
+        k = self.num_classes
         comps, probs = [], []
         for n in self.group_sizes:
-            comp = _compositions(n, self.num_classes)
-            # the multinomial, class by class: choose x_j of the reports not yet placed
-            unplaced = n - np.cumsum(comp, axis=1) + comp
-            coef = binom[unplaced, comp].prod(axis=1)
-            # its probability per truth, one class at a time: raising every
-            # entry at once would hold a (truth, composition, class) array
-            prob = np.ones((self.num_classes, len(comp)))
-            for j in range(self.num_classes):
-                prob *= self.confusion[:, j, None] ** comp[:, j]
+            comp, left = np.zeros((1, k), dtype=np.int64), np.array([n], dtype=np.int64)
+            coef, prob = np.ones(1), np.ones((k, 1))
+            for j in range(k - 1):
+                row = np.repeat(np.arange(len(left)), left + 1)
+                comp = comp[row]
+                comp[:, j] = x = np.arange(len(row)) - (np.cumsum(left + 1) - left - 1)[row]
+                coef = coef[row] * self._binomials[left[row], x]
+                prob = np.take(prob, row, axis=1)  # in place below: a second such array peaks
+                prob *= self.confusion[:, j, None] ** x
+                left = left[row] - x
+            comp[:, -1] = left
+            prob *= self.confusion[:, -1, None] ** left
+            prob *= coef
             comps.append(comp)
-            probs.append(coef * prob)
+            probs.append(prob)
         return comps, probs
 
-    def _win_tables(self, counts: list[int]) -> None:
-        """Per-k win mass for each count in `counts`, summed over truth and v.
-
-        A state fixes how many members of each multiplicity group report each
-        class. Its weight is added at its k for v, and a finished table is
-        divided once per k by the rival sets behind it, so a query's split
-        weights can count those sets instead. A count's table is built the
-        same way whatever counts share the call.
-        """
+    @functools.cached_property
+    def _win_tables(self) -> np.ndarray:
+        """Per-k win mass, summed over truth and v, in row c - 1 for c focal
+        votes (every count past the rivals' V votes reads row V). Each (class
+        v, state) cell adds its weight at (gap, k), whole and split over the
+        classes v would tie; dividing once per k by the rival sets behind it
+        lets a query's split weights count them."""
         k = self.num_classes
         truth_weight = self.prior[:, None] * self.confusion  # (truth, report)
         comps, probs = self._groups
         # per group, (class, composition) tables that `take` gathers states from
         parts = [(np.ascontiguousarray(p), np.ascontiguousarray(c.T), m, self._k_stride[m])
                  for m, c, p in zip(self.group_mults, comps, probs)]
-        tables = np.zeros((len(counts), self._k_size))
+        hist = np.zeros((2, self._gaps * self._k_size))  # whole and tie-split, at (gap, k)
         for digits in _blocks([len(c) for c in comps], max(1, _BLOCK // k)):
             size = digits.shape[1]
             prob = np.ones((k, size))
@@ -198,14 +193,15 @@ class ExactEnumerator:
                 votes += m * x
                 k_index += stride * x
             weight = truth_weight.T @ prob
-            lead, ties = _standings(votes)
-            tied = weight / (1 + ties)
-            for i, c in enumerate(counts):
-                win = np.where(lead > -c, weight, np.where(lead == -c, tied, 0.0))
-                tables[i] += np.bincount(k_index.ravel(), weights=win.ravel(), minlength=self._k_size)
+            gap, ties = _standings(votes)
+            cell = (gap * self._k_size + k_index).ravel()
+            hist[0] += np.bincount(cell, weight.ravel(), hist.shape[1])
+            hist[1] += np.bincount(cell, (weight / (1 + ties)).ravel(), hist.shape[1])
+        whole, tied = hist.reshape(2, self._gaps, -1)
+        table = np.cumsum(whole, axis=0)  # row c - 1: the whole weights below gap c
+        table[:-1] += tied[1:]  # and the split ones at c
         k_digits = next(_blocks([n + 1 for n in self.group_sizes], self._k_size))
-        tables /= self._binomials[self.group_sizes, k_digits.T].prod(axis=1)
-        self._win.update(zip(counts, tables))
+        return table / self._binomials[self.group_sizes, k_digits.T].prod(axis=1)
 
     @functools.cached_property
     def _vote_distribution(self) -> tuple[np.ndarray, np.ndarray]:
@@ -284,14 +280,13 @@ class ExactEnumerator:
         stride = np.array([self._k_stride[m] for m, _ in groups], dtype=np.int64)
         low = sizes if self._all_match else np.zeros_like(sizes)
         radix = (sizes + 1 - low).tolist()
-        missing = sorted({c for c in cs if c not in self._win})
-        k, new = self.num_classes, len(missing)
+        k, new = self.num_classes, len(set(cs))
         states = math.prod(math.comb(n + k - 1, k - 1) for n in self.group_sizes)
-        tables = states * k * (len(self.group_sizes) + new) + self._k_size * new if new else 0
+        tables = 0 if "_win_tables" in vars(self) else max(
+            states * k * (len(self.group_sizes) + new) + self._k_size * new,
+            self._gaps * self._k_size)
         self._afford(tables + math.prod(radix) * len(cs) * len(fs))
-        if missing:
-            self._win_tables(missing)
-        table = np.stack([self._win[c] for c in cs])
+        table = self._win_tables[np.minimum(cs, self._gaps) - 1]
         out = np.zeros(fs.shape)
         # the splits in blocks that depend on the groups alone, like the states
         for digits in _blocks(radix, _BLOCK):
@@ -320,11 +315,11 @@ class ExactEnumerator:
     def error_rates(self, focal_counts: Sequence[int]) -> np.ndarray:
         """Probability the decided output differs from the truth, per focal count.
 
-        Per rival vote vector and focal report v, the truth mass splits into
-        three non-negative parts: on v, on other classes at the top count, and
-        the rest. A count picks whether v leads, ties or trails and weights the
-        parts by how often that misses; no miss is a difference of larger
-        masses, so small rates keep their relative accuracy.
+        A truth below a rival vote vector's top is missed whatever the focal
+        report v. The truth mass on v and on the other top classes misses by
+        whether v leads, ties or trails, binned by v's gap to the top: count c
+        reads leads below gap c, ties at c and trails above. No miss is a
+        difference of larger masses, so small rates keep relative accuracy.
         """
         cs = [int(c) for c in focal_counts]
         if any(c < 1 for c in cs):
@@ -332,18 +327,22 @@ class ExactEnumerator:
         votes, probs = self._vote_distribution
         truth_weight = self.prior[:, None] * self.confusion  # (truth, v)
         off = truth_weight * (1.0 - np.eye(self.num_classes))  # truths other than v
-        out = np.zeros(len(cs))
+        below_top = 0.0
+        bins = np.zeros((3, self._gaps + 2))  # lead, tie and trail misses per gap, 0 past V
         step = max(1, _BLOCK // self.num_classes)
         for lo in range(0, len(votes), step):
             vote, prob = np.ascontiguousarray(votes[lo:lo + step].T), probs[:, lo:lo + step]
-            lead, ties = _standings(vote)  # (class, state), like all below
-            at_top = off.T @ (prob * (lead == 0))
-            rest = off.T @ (prob * (lead < 0))
+            gap, ties = _standings(vote)  # (class, state), like all below
+            top = gap == 0
+            below_top += off.sum(axis=1) @ (prob * ~top).sum(axis=1)
+            at_top = off.T @ (prob * top)
             mine = np.diag(truth_weight)[:, None] * prob
-            lone = at_top + rest  # v wins alone
-            even = (mine + at_top) * (ties / (ties + 1.0)) + rest  # v ties the top
-            # ties is 0 only where v holds the top alone, which never trails
-            behind = mine + at_top * ((ties - 1.0) / np.maximum(ties, 1)) + rest
-            for i, c in enumerate(cs):
-                out[i] += np.where(lead > -c, lone, np.where(lead == -c, even, behind)).sum()
-        return out
+            misses = (at_top,  # v wins alone
+                      (mine + at_top) * (ties / (ties + 1.0)),  # v ties the top
+                      # ties is 0 only where v holds the top alone, which never trails
+                      mine + at_top * ((ties - 1.0) / np.maximum(ties, 1)))
+            for row, miss in enumerate(misses):
+                bins[row] += np.bincount(gap.ravel(), miss.ravel(), self._gaps + 2)
+        lead, tie, trail = bins
+        c = np.minimum(cs, self._gaps)
+        return below_top + np.cumsum(lead)[c - 1] + tie[c] + np.cumsum(trail[::-1])[::-1][c + 1]

@@ -181,10 +181,10 @@ class _Gaps:
         """The (single, mirror) payoffs of every answer at each exponent in
         `ds` in turn, from one engine call per answering user.
 
-        The largest stake goes first: its call builds the win tables of every
-        count the later calls read. The block ends before the first exponent
-        at which a stake factor overflows, so only a row the search reaches
-        can raise.
+        The largest stake goes first, as the engine prices the call that
+        builds its win table by that call's counts: user order cannot decide
+        a refusal. The block ends before the first exponent at which a stake
+        factor overflows, so only a row the search reaches can raise.
         """
         # ids run 1..N, so user n's stake is stakes[n - 1]
         stakes = [u.total_stake for u in sorted(self.config.users, key=lambda u: u.user_id)]

@@ -4,31 +4,31 @@ import functools
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import feedsim as fs
 from feedsim import _montecarlo
 
 
 def count_engine_work(monkeypatch) -> Counter:
-    """Count, for the rest of the test, exact-engine constructions, `payoffs`
-    and `_win_tables` calls, and `_groups` builds."""
+    """Count, for the rest of the test, exact-engine constructions and
+    `payoffs` calls, and `_groups` and `_win_tables` builds."""
     engine = fs.enumeration.ExactEnumerator
     calls = Counter()
-    for name in ("__init__", "payoffs", "_win_tables"):
+    for name in ("__init__", "payoffs"):
         def counted(self, *args, _method=getattr(engine, name), _name=name, **kwargs):
             calls[_name] += 1
             return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(engine, name, counted)
-    build = engine.__dict__["_groups"].func
+    for name in ("_groups", "_win_tables"):
+        def built(self, _build=engine.__dict__[name].func, _name=name):
+            calls[_name] += 1
+            return _build(self)
 
-    def groups(self):
-        calls["_groups"] += 1
-        return build(self)
-
-    counted_groups = functools.cached_property(groups)
-    counted_groups.__set_name__(engine, "_groups")
-    monkeypatch.setattr(engine, "_groups", counted_groups)
+        counted_build = functools.cached_property(built)
+        counted_build.__set_name__(engine, name)
+        monkeypatch.setattr(engine, name, counted_build)
     return calls
 
 
@@ -83,6 +83,23 @@ def grouped_instance(rng):
         for i, p in enumerate(pairs)
     }
     return cfg, strategies
+
+
+def counts_instance(rng, counts, num_classes=3):
+    """Config whose users run `counts` oracles, one unit of stake each."""
+    cfg = fs.SystemConfig(
+        num_classes=num_classes,
+        confusion=fs.ConfusionMatrix(weakly_accurate_matrix(rng, num_classes)),
+        users=tuple(fs.UserProfile(i + 1, c) for i, c in enumerate(counts)),
+        prior=fs.ClassPrior(rng.dirichlet(np.ones(num_classes))),
+    )
+    return cfg, {i + 1: fs.Strategy.concentrated(c, c) for i, c in enumerate(counts)}
+
+
+# oracle counts per user whose first, the focal user's, passes the rivals'
+# vote total plus one: it always wins alone, the last row of a win table
+DOMINANT_CASES = [pytest.param(("counts", counts), id="dominant" + "".join(map(str, counts)))
+                  for counts in ((5, 1, 1), (7, 2, 1, 1))]
 
 
 # confusion rows and per-user oracle counts under which vote totals tie often:

@@ -253,12 +253,23 @@ def test_a_search_past_the_float_range_names_the_stake(tmp_path, capsys):
     assert capsys.readouterr().err == "error: stake 3 raised to d=646.08 is past the float range\n"
 
 
-def test_solve_d_from_oracle_stakes_matches(trio_path, capsys):
-    assert main(["solve-d", trio_path, "--epsilon", "0.05"]) == 0
-    direct = capsys.readouterr().out
-    assert main(["solve-d", trio_path, "--epsilon", "0.05", "--from-oracle-stakes"]) == 0
-    via_oracles = capsys.readouterr().out
-    assert direct.split()[0] == via_oracles.split()[0] == "d_opt=1.6"
+def test_solve_d_from_oracle_stakes_matches(trio_path, ref_config_path, tmp_path, capsys):
+    """Observed per-oracle stakes give the plain search's stdout and
+    certificate byte for byte, also for amt10 with its users listed in
+    reverse: oracle n is user n, not the n-th user listed."""
+    doc = json.loads(ref_config_path.read_text())
+    doc["users"].reverse()
+    reversed_path = tmp_path / "reversed.json"
+    reversed_path.write_text(json.dumps(doc))
+    for path, args, d_opt in ((trio_path, ["--epsilon", "0.05"], "d_opt=1.6"),
+                              (str(reversed_path), [], "d_opt=2.28")):
+        runs = []
+        for switch in ([], ["--from-oracle-stakes"]):
+            cert = tmp_path / f"cert{len(runs)}.json"
+            assert main(["solve-d", path, *args, *switch, "--out", str(cert)]) == 0
+            runs.append((capsys.readouterr().out, cert.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0].split()[0] == d_opt
 
 
 def test_solve_d_exhaustion_exits_1(trio_path, capsys):

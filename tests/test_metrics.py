@@ -29,24 +29,14 @@ def test_single_voter_error_is_one_minus_accuracy(accuracy):
 # 5-6 users whose rivals share multiplicity groups, with mixed oracle
 # counts: shapes random_config never draws
 GROUPED_CASES = [pytest.param(("grouped", s), id=f"grouped{s}") for s in range(6)]
-# oracle counts per user, the first being the focal user's: rival vote vectors
-# that collide across multiplicity groups, and rivals of distinct counts
+# oracle counts per user: rival vote vectors that collide across multiplicity
+# groups, rivals of distinct counts, and a user who outvotes all the rest
 COUNT_CASES = [
     pytest.param(("counts", (1, 1, 1, 2)), id="collide112"),
     pytest.param(("counts", (2, 3, 1, 4, 2)), id="distinct"),
+    *helpers.DOMINANT_CASES,
 ]
 TIE_CASES = [pytest.param(("ties", name), id=name) for name in helpers.TIE_NETWORKS]
-
-
-def counts_instance(rng, counts, num_classes=3):
-    """Config whose users run `counts` oracles, one unit of stake each."""
-    cfg = fs.SystemConfig(
-        num_classes=num_classes,
-        confusion=fs.ConfusionMatrix(helpers.weakly_accurate_matrix(rng, num_classes)),
-        users=tuple(fs.UserProfile(i + 1, c) for i, c in enumerate(counts)),
-        prior=fs.ClassPrior(rng.dirichlet(np.ones(num_classes))),
-    )
-    return cfg, {i + 1: fs.Strategy.concentrated(c, c) for i, c in enumerate(counts)}
 
 
 @pytest.mark.parametrize("seed", [*range(6), *GROUPED_CASES, *COUNT_CASES, *TIE_CASES])
@@ -54,7 +44,7 @@ def test_error_rate_matches_bruteforce(seed):
     if isinstance(seed, tuple) and seed[0] == "ties":
         cfg, strategies = helpers.tie_instance(seed[1])
     elif isinstance(seed, tuple) and seed[0] == "counts":
-        cfg, strategies = counts_instance(np.random.default_rng(970), seed[1])
+        cfg, strategies = helpers.counts_instance(np.random.default_rng(970), seed[1])
     elif isinstance(seed, tuple):
         cfg, strategies = helpers.grouped_instance(np.random.default_rng(950 + seed[1]))
     else:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -80,11 +81,16 @@ GROUPED_CASES = [pytest.param(("grouped", s), id=f"grouped{s}") for s in range(6
 TIE_CASES = [pytest.param(("ties", name), id=name) for name in helpers.TIE_NETWORKS]
 
 
-@pytest.mark.parametrize("seed", [*range(8), *GROUPED_CASES, *TIE_CASES])
+@pytest.mark.parametrize("seed", [*range(8), *GROUPED_CASES, *TIE_CASES, *helpers.DOMINANT_CASES])
 def test_exact_matches_bruteforce_on_random_instances(seed):
+    focal = None
     if isinstance(seed, tuple) and seed[0] == "ties":
         rng = np.random.default_rng(990)
         cfg, strategies = helpers.tie_instance(seed[1])
+    elif isinstance(seed, tuple) and seed[0] == "counts":
+        rng = np.random.default_rng(985)
+        cfg, strategies = helpers.counts_instance(rng, seed[1])
+        focal = 1
     elif isinstance(seed, tuple):
         rng = np.random.default_rng(900 + seed[1])
         cfg, strategies = helpers.grouped_instance(rng)
@@ -95,7 +101,7 @@ def test_exact_matches_bruteforce_on_random_instances(seed):
         for user in cfg.users:
             c = int(rng.integers(1, user.total_stake + 1))
             strategies[user.user_id] = fs.optimal_allocation(user.total_stake, c)
-    focal = int(rng.integers(1, cfg.num_users + 1))
+    focal = focal or int(rng.integers(1, cfg.num_users + 1))
     d = float(rng.uniform(1.0, 3.0))
     query = fs.PayoffQuery(
         cfg,
@@ -198,7 +204,8 @@ def test_counts_are_independent(ref_config, case):
 
 
 def test_group_tables_match_factorial_formulas():
-    """Multinomial probabilities from the binomial table agree with the
+    """Each group holds every composition once, in stars-and-bars order, and
+    its multinomial probabilities from the binomial table agree with the
     per-composition factorial formulas for groups up to 30."""
     rng = np.random.default_rng(31)
     confusion = helpers.weakly_accurate_matrix(rng, 5)
@@ -210,6 +217,8 @@ def test_group_tables_match_factorial_formulas():
     assert engine.group_sizes == list(sizes)
     factorial = [math.factorial(x) for x in range(max(sizes) + 1)]
     for n, comp, prob in zip(sizes, comps, probs):
+        bars = [(-1, *b, n + 4) for b in itertools.combinations(range(n + 4), 4)]
+        assert comp.tolist() == [[b - a - 1 for a, b in zip(row, row[1:])] for row in bars]
         coef = [factorial[n] // math.prod(factorial[x] for x in row) for row in comp.tolist()]
         want = np.asarray(coef, float) * np.prod(confusion[:, None, :] ** comp, axis=2)
         np.testing.assert_allclose(prob, want, rtol=1e-15, atol=0)
@@ -364,7 +373,7 @@ def test_set_counts_past_the_float_range_are_refused():
                   lambda: engine.error_rates([1])):
         with pytest.raises(fs.EnumerationBudgetError, match="a group of 1030 rivals"):
             query()
-    assert engine._win == {} and not {"_binomials", "_groups"} & set(vars(engine))
+    assert not {"_binomials", "_groups", "_win_tables"} & set(vars(engine))
 
 
 def test_every_exact_share_lies_in_the_unit_interval(ref_config):
@@ -387,7 +396,7 @@ def test_refused_payoffs_build_nothing():
     engine = enumeration.ExactEnumerator(confusion, prior, range(1, 28))
     with pytest.raises(fs.EnumerationBudgetError):
         engine.payoffs([1], [[1.0]], [[1.0] * 27])
-    assert engine._win == {} and "_groups" not in vars(engine)
+    assert not {"_groups", "_win_tables"} & set(vars(engine))
     rate = engine.error_rates([1])[0]
     mc, stderr = fs._montecarlo.error_rate_mc_core(confusion, prior, [1, *range(1, 28)],
                                                     20_000, 0)
@@ -410,7 +419,7 @@ def test_ill_formed_queries_are_refused_before_any_table(query, message):
     engine = enumeration.ExactEnumerator(confusion, prior, [1, 1, 2])
     with pytest.raises(ValueError, match=message):
         query(engine)
-    assert engine._win == {} and "_groups" not in vars(engine)
+    assert not {"_groups", "_win_tables"} & set(vars(engine))
 
 
 def test_an_engine_does_not_depend_on_the_budget(fresh_ref_config, ref_config_path, monkeypatch):
@@ -422,10 +431,11 @@ def test_an_engine_does_not_depend_on_the_budget(fresh_ref_config, ref_config_pa
         patch.setattr(enumeration, "_BUDGET", 1)
         with pytest.raises(fs.EnumerationBudgetError):
             concentrated_payoffs(fresh_ref_config, 1, 2.0, range(1, 9))
-        assert engine._win == {} and "_groups" not in vars(engine)
+        assert not {"_groups", "_win_tables"} & set(vars(engine))
     value = concentrated_payoffs(fresh_ref_config, 1, 2.0, range(1, 9))
     assert fs.payoff.single_oracle_rivals(fresh_ref_config) is engine
-    assert sorted(engine._win) == list(range(1, 9))
+    # one table for every count: a row per gap of 0..9 rival votes, a column per k
+    assert engine._win_tables.shape == (10, 10)
     fresh = concentrated_payoffs(fs.load_config(ref_config_path), 1, 2.0, range(1, 9))
     assert value.tolist() == fresh.tolist()
 

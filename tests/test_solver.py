@@ -58,8 +58,8 @@ def test_amt10_evaluations_match_verify_nash_row_by_row(fresh_ref_config, monkey
 
 def test_one_engine_call_per_distinct_stake(fresh_ref_config, monkeypatch):
     """amt10's stakes 8,5,3,8,4,7,6,5,7,2 take 7 payoff calls a block, and
-    the first, at stake 8, builds the win tables of every count. A second
-    search on the same config reads the tables the first one built."""
+    the first builds the engine's one win table, which every count reads. A
+    second search on the same config reads the table the first one built."""
     calls = helpers.count_engine_work(monkeypatch)
     diag = {}
     # starting 15 steps below the answer, the search is one 16-row block
@@ -69,6 +69,23 @@ def test_one_engine_call_per_distinct_stake(fresh_ref_config, monkeypatch):
     assert calls == {"__init__": 1, "_groups": 1, "payoffs": 7, "_win_tables": 1}
     assert fs.find_d_opt(fresh_ref_config, settings)[0] == 2.28
     assert calls == {"__init__": 1, "_groups": 1, "payoffs": 14, "_win_tables": 1}
+
+
+def test_a_refusal_does_not_depend_on_user_order(ref_config, monkeypatch):
+    """The engine prices the call that builds its win table by that call's
+    counts: one amt10 row costs 3.5e4 cells from stake 8 and 1.1e4 from
+    stake 2. The search sends the largest stake first, so under a budget
+    between the two the row is sampled whichever stake user 1 holds."""
+    monkeypatch.setattr(enumeration, "_BUDGET", 20_000)
+    sampled = []
+    monkeypatch.setattr(solver._Gaps, "mc_check",
+                        lambda gaps, *check: sampled.append(check) or (0.0, 0.0))
+    stakes = [u.total_stake for u in ref_config.users]
+    for order in (stakes, stakes[::-1]):
+        sampled.clear()
+        users = tuple(fs.UserProfile(i + 1, s) for i, s in enumerate(order))
+        assert fs.verify_nash(fs.SystemConfig(5, ref_config.confusion, users), 2.0).satisfied
+        assert len(sampled) == 28
 
 
 @pytest.mark.parametrize("d,samples", [(1.0, None), (2.27, None), (2.28, None), (2.28, 200)],
