@@ -37,13 +37,14 @@ Its truth mass splits into non-negative parts, binned by gap like the win
 table: amt10's c = 1..8 take about 0.12 ms, or 14 ms with every user
 mirroring at full stake (141 745 vectors).
 
-A query is priced in the float64 cells it would build, from the group sizes
-alone, and refused over `_BUDGET` before anything is allocated: amt10's
-largest solver call costs 6.9e4 cells, 12 to 40 users at K = 5 1.3e5 to 1.2e8.
-The query that builds the win table pays, as a placeholder, for per-count
-tables of its distinct counts, or the table itself where that is larger.
-A group of 1030 or more rivals is refused too: its set counts, C(n, k), pass
-the float range.
+Each build is priced in float64 cells from the group sizes alone and refused
+over `_BUDGET` before anything is allocated. A cached table pays at the top of
+its builder for `_groups`' fold, built yet or not (3K + 4 cells a composition,
+and the binomials), then the win table for its walk, (class, state) cells times
+groups + 2 with one block's working set left out, and four (gap, k) arrays, the
+vote distribution for its folds. A payoff query pays for its split walk alone:
+amt10's cost at most 3.7e4 cells, its win table 24 810. A group of 1030 or
+more rivals is refused too: its set counts, C(n, k), pass the float range.
 
 An engine keeps every table it builds, so sharing one saves work:
 `payoff.engine_for` builds one per rival population of a config and keeps
@@ -120,9 +121,13 @@ class ExactEnumerator:
         truth_weight = self.prior[:, None] * self.confusion
         self._all_match = bool(np.all((self.confusion == 1.0) | (truth_weight == 0.0)))
         self._gaps = sum(self.mults) + 1  # a class trails the top by 0..V rival votes
+        # compositions per group; `_groups`' fold peaks at 3K + 4 cells each, plus binomials
+        k = self.num_classes
+        self._comps = [math.comb(n + k - 1, k - 1) for n in self.group_sizes]
+        self._fold_cells = (3 * k + 4) * sum(self._comps) + max(radix, default=1) ** 2
 
     def _afford(self, cells: int) -> None:
-        """Refuse a query that would build more than `_BUDGET` float64 cells."""
+        """Refuse a build of more than `_BUDGET` float64 cells."""
         if cells > _BUDGET:
             raise EnumerationBudgetError(
                 f"exact enumeration needs {cells} cells, over the budget of "
@@ -140,28 +145,32 @@ class ExactEnumerator:
                 f"exact enumeration over a group of {n} rivals counts more rival "
                 f"sets than a float holds; use the Monte Carlo estimator instead"
             )
-        return np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], float)
+        table, row = np.zeros((n + 1, n + 1)), [1]
+        for a in range(n + 1):  # Pascal's rule on exact ints, one row held at a time
+            table[a, :a + 1] = row
+            row = [x + y for x, y in zip([0, *row], [*row, 0])]
+        return table
 
     @functools.cached_property
     def _groups(self) -> tuple[list, list]:
-        """Per multiplicity group: its report counts per class (one row per
+        """Per multiplicity group: its report counts per class (one column per
         composition, in lexicographic order) and their probability per truth,
-        folded in one class at a time: each row places x = 0..left of the
+        folded in one class at a time: each column places x = 0..left of the
         reports left in C(left, x) ways, and the last class takes all left."""
         k = self.num_classes
         comps, probs = [], []
         for n in self.group_sizes:
-            comp, left = np.zeros((1, k), dtype=np.int64), np.array([n], dtype=np.int64)
+            comp, left = np.zeros((k, 1), dtype=np.int64), np.array([n], dtype=np.int64)
             coef, prob = np.ones(1), np.ones((k, 1))
             for j in range(k - 1):
-                row = np.repeat(np.arange(len(left)), left + 1)
-                comp = comp[row]
-                comp[:, j] = x = np.arange(len(row)) - (np.cumsum(left + 1) - left - 1)[row]
-                coef = coef[row] * self._binomials[left[row], x]
-                prob = np.take(prob, row, axis=1)  # in place below: a second such array peaks
+                col = np.repeat(np.arange(len(left)), left + 1)
+                comp = np.take(comp, col, axis=1)
+                comp[j] = x = np.arange(len(col)) - (np.cumsum(left + 1) - left - 1)[col]
+                coef = coef[col] * self._binomials[left[col], x]
+                prob = np.take(prob, col, axis=1)  # in place below: a second such array peaks
                 prob *= self.confusion[:, j, None] ** x
-                left = left[row] - x
-            comp[:, -1] = left
+                left = left[col] - x
+            comp[-1] = left
             prob *= self.confusion[:, -1, None] ** left
             prob *= coef
             comps.append(comp)
@@ -176,22 +185,22 @@ class ExactEnumerator:
         classes v would tie; dividing once per k by the rival sets behind it
         lets a query's split weights count them."""
         k = self.num_classes
+        # the fold, the walk and four (gap, k) arrays: histogram pair, prefix sum, result
+        self._afford(self._fold_cells + k * math.prod(self._comps) * (len(self._comps) + 2)
+                     + 4 * self._gaps * self._k_size)
         truth_weight = self.prior[:, None] * self.confusion  # (truth, report)
         comps, probs = self._groups
-        # per group, (class, composition) tables that `take` gathers states from
-        parts = [(np.ascontiguousarray(p), np.ascontiguousarray(c.T), m, self._k_stride[m])
-                 for m, c, p in zip(self.group_mults, comps, probs)]
         hist = np.zeros((2, self._gaps * self._k_size))  # whole and tie-split, at (gap, k)
-        for digits in _blocks([len(c) for c in comps], max(1, _BLOCK // k)):
+        for digits in _blocks(self._comps, max(1, _BLOCK // k)):
             size = digits.shape[1]
             prob = np.ones((k, size))
             votes = np.zeros((k, size), dtype=np.int64)  # (class, state), like all below
             k_index = np.zeros((k, size), dtype=np.int64)
-            for (p, c, m, stride), idx in zip(parts, digits):
+            for m, c, p, idx in zip(self.group_mults, comps, probs, digits):
                 prob *= np.take(p, idx, axis=1)
                 x = np.take(c, idx, axis=1)
                 votes += m * x
-                k_index += stride * x
+                k_index += self._k_stride[m] * x
             weight = truth_weight.T @ prob
             gap, ties = _standings(votes)
             cell = (gap * self._k_size + k_index).ravel()
@@ -213,11 +222,10 @@ class ExactEnumerator:
         vote count, for which numpy's stable sort is a radix sort.
         """
         k = self.num_classes
-        # a fold's vectors so far are bounded by their product and by the
-        # vectors of T votes; each meets every composition of the group
-        cells, vectors, total = 0, 1, 0
-        for m, n in zip(self.group_mults, self.group_sizes):
-            comps = math.comb(n + k - 1, k - 1)
+        # `_groups`' fold, then the groups': a fold's vectors so far are bounded by
+        # their product and by the vectors of T votes; each meets every composition
+        cells, vectors, total = self._fold_cells, 1, 0
+        for m, n, comps in zip(self.group_mults, self.group_sizes, self._comps):
             cells += vectors * comps * k
             total += m * n
             vectors = min(vectors * comps, math.comb(total + k - 1, k - 1))
@@ -227,7 +235,7 @@ class ExactEnumerator:
         votes = np.zeros((1, k), dtype=dtype)
         probs = np.ones((k, 1))
         for g, (m, comp, prob) in enumerate(zip(self.group_mults, comps, group_probs)):
-            votes = (votes[:, None, :] + (m * comp).astype(dtype)).reshape(-1, k)
+            votes = (votes[:, None, :] + (m * comp.T).astype(dtype)).reshape(-1, k)
             probs = (probs[:, :, None] * prob[:, None, :]).reshape(k, -1)
             if g:
                 order = np.lexsort(votes.T[::-1])
@@ -280,12 +288,7 @@ class ExactEnumerator:
         stride = np.array([self._k_stride[m] for m, _ in groups], dtype=np.int64)
         low = sizes if self._all_match else np.zeros_like(sizes)
         radix = (sizes + 1 - low).tolist()
-        k, new = self.num_classes, len(set(cs))
-        states = math.prod(math.comb(n + k - 1, k - 1) for n in self.group_sizes)
-        tables = 0 if "_win_tables" in vars(self) else max(
-            states * k * (len(self.group_sizes) + new) + self._k_size * new,
-            self._gaps * self._k_size)
-        self._afford(tables + math.prod(radix) * len(cs) * len(fs))
+        self._afford(math.prod(radix) * len(cs) * len(fs))
         table = self._win_tables[np.minimum(cs, self._gaps) - 1]
         out = np.zeros(fs.shape)
         # the splits in blocks that depend on the groups alone, like the states

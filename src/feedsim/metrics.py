@@ -50,7 +50,7 @@ class ExperimentSpec:
     `focal_user`, `samples`, `seed` and each c must be integers and each d a
     real number (bools are neither), else ConfigFormatError names the field;
     a c outside 1..stake, a d that is not finite or below 1, `samples` below
-    1, a negative `seed` or an unknown method raise ValueError. `c_values`
+    2, a negative `seed` or an unknown method raise ValueError. `c_values`
     defaults to every count 1..stake (`UserProfile.oracle_counts`, which
     refuses a stake too large to list) and `method` accepts any `METHODS`
     alias. A `range` of counts is checked before it is listed, so a range far

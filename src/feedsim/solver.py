@@ -7,10 +7,10 @@ all <= 0, so it is minimal on the grid. A deviation's payoffs depend only on
 the user's stake and the rivals' stakes, so on both routes the lowest-id user
 of a stake answers for every user of that stake; `_Row` alone expands a row's
 answers to users. Exactly, rows come in blocks: one engine call per distinct
-stake, largest first, covers all its oracle counts at every exponent of the
-block. Once the engine refuses a block as over its cell budget, each distinct
-(stake, c) of a row is two Monte Carlo runs of `DEFAULT_MC_SAMPLES` rounds
-from `DEFAULT_SEED`, and sampled rows go one at a time, starting from the last
+stake covers all its oracle counts at every exponent of the block. Once the
+engine refuses a block as over its cell budget, each distinct (stake, c) of a
+row is two Monte Carlo runs of `DEFAULT_MC_SAMPLES` rounds from
+`DEFAULT_SEED`, and sampled rows go one at a time, starting from the last
 violation seen and stopping at the first. `_Gaps.rows` alone routes rows:
 `verify_nash` is the search's one-row case, over the grid {d}.
 
@@ -179,12 +179,9 @@ class _Gaps:
 
     def exact_rows(self, ds: Sequence[float]):
         """The (single, mirror) payoffs of every answer at each exponent in
-        `ds` in turn, from one engine call per answering user.
-
-        The largest stake goes first, as the engine prices the call that
-        builds its win table by that call's counts: user order cannot decide
-        a refusal. The block ends before the first exponent at which a stake
-        factor overflows, so only a row the search reaches can raise.
+        `ds` in turn, from one engine call per answering user. The block ends
+        before the first exponent at which a stake factor overflows, so only a
+        row the search reaches can raise.
         """
         # ids run 1..N, so user n's stake is stakes[n - 1]
         stakes = [u.total_stake for u in sorted(self.config.users, key=lambda u: u.user_id)]
@@ -198,7 +195,7 @@ class _Gaps:
                 break
         power = np.array(power)
         tables = {}
-        for n in sorted({n for n, _ in self.deviations.values()}, key=lambda n: -stakes[n - 1]):
+        for n in sorted({n for n, _ in self.deviations.values()}):
             stake = stakes[n - 1]
             tables[n] = _concentrated(self.engine, stake, np.arange(1, stake + 1),
                                       stakes[:n - 1] + stakes[n:],

@@ -30,6 +30,7 @@ def ref_config_path() -> Path:
 
 @pytest.fixture(scope="session")
 def net12_config() -> fs.SystemConfig:
-    """Twelve users with amt10's confusion matrix; its largest exact query
-    costs about 1.4e5 cells, far inside the default budget."""
+    """Twelve users with amt10's confusion matrix; its largest exact build,
+    a solver call's split walk, costs about 7.4e4 cells and its win table
+    4.7e4, far inside the default budget."""
     return fs.load_config(NET12_CONFIG_PATH)

@@ -217,6 +217,7 @@ def test_group_tables_match_factorial_formulas():
     assert engine.group_sizes == list(sizes)
     factorial = [math.factorial(x) for x in range(max(sizes) + 1)]
     for n, comp, prob in zip(sizes, comps, probs):
+        comp = comp.T  # held (class, composition)
         bars = [(-1, *b, n + 4) for b in itertools.combinations(range(n + 4), 4)]
         assert comp.tolist() == [[b - a - 1 for a, b in zip(row, row[1:])] for row in bars]
         coef = [factorial[n] // math.prod(factorial[x] for x in row) for row in comp.tolist()]
@@ -238,7 +239,7 @@ def test_group_tables_hold_no_truth_by_composition_by_class_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < k * len(comps[0]) * k * 8
+    assert peak < k * comps[0].shape[1] * k * 8
     np.testing.assert_allclose(probs[0].sum(axis=1), 1.0, rtol=1e-14)
 
 
@@ -401,6 +402,69 @@ def test_refused_payoffs_build_nothing():
     mc, stderr = fs._montecarlo.error_rate_mc_core(confusion, prior, [1, *range(1, 28)],
                                                     20_000, 0)
     assert abs(rate - mc) <= 3 * stderr
+
+
+def recorded_prices(engine) -> list:
+    """Every price `engine` charges from now on, in order; it still refuses
+    a price over the budget."""
+    paid, afford = [], engine._afford
+    engine._afford = lambda cells: paid.append(cells) or afford(cells)
+    return paid
+
+
+@pytest.mark.parametrize("counts", [[1], range(1, 9)], ids=["c=1", "c=1..8"])
+@pytest.mark.parametrize("rates_first", [False, True], ids=["fresh", "after-error-rates"])
+def test_a_win_table_is_priced_by_its_groups_alone(ref_config, counts, rates_first):
+    """amt10's win table costs 24 810 cells: `_groups`' fold (19 a composition
+    at K = 5, and 100 binomials), its walk and its four (gap, k) arrays. The
+    price depends on neither the counts of the query that builds the table
+    nor whether error rates built `_groups` first."""
+    engine = enumeration.ExactEnumerator(
+        ref_config.confusion.entries, ref_config.prior.probabilities, [1] * 9)
+    if rates_first:
+        engine.error_rates([1])
+    paid = recorded_prices(engine)
+    engine.payoffs(counts, [[2.0] * len(counts)], [[1.0] * 9])
+    assert paid[-1] == 19 * 715 + 100 + 5 * 715 * 3 + 4 * 10 * 10 == 24_810
+
+
+@pytest.mark.parametrize("k,mults", [
+    (2, [1] * 1000), (5, [1] * 20), (5, [1] * 39), (10, [1] * 15),
+    (3, [1] * 5 + [2] * 4 + [3] * 3),
+], ids=["K2-1000", "K5-20", "K5-39", "K10-15", "K3-mixed"])
+def test_a_win_table_build_holds_no_more_than_it_pays(k, mults):
+    """At 8 bytes a cell, what a fresh engine's first payoff query pays bounds
+    its traced peak, binomials and `_groups` included, give or take the
+    walk's one block: a dozen (class, state) arrays of at most `_BLOCK`
+    cells, which only a build far inside the budget notices. At K = 10
+    `_groups`' fold alone peaks at 34 cells a composition."""
+    confusion = np.full((k, k), 0.5 / k) + 0.5 * np.eye(k)
+    engine = enumeration.ExactEnumerator(confusion, np.full(k, 1 / k), mults)
+    paid = recorded_prices(engine)
+    tracemalloc.start()
+    try:
+        engine.payoffs([1], [[1.0]], [[1.0] * len(mults)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (sum(paid) + 12 * enumeration._BLOCK)
+
+
+def test_a_table_too_large_to_hold_is_refused_before_its_groups(monkeypatch):
+    """24 users at K = 10 with stakes 1 and 2: building the win table every
+    query reads would hold about 7 GB, most of it `_groups`' 28 M
+    compositions. It is priced at 1.8e9 cells, so the first query is refused
+    before any group is folded, whatever counts it asks."""
+    def fold(engine):
+        raise AssertionError("_groups built")
+
+    monkeypatch.setattr(enumeration.ExactEnumerator, "_groups", property(fold))
+    k = 10
+    stakes = np.random.default_rng(7).integers(1, 3, 24).tolist()
+    config = fs.SystemConfig(k, fs.ConfusionMatrix(np.full((k, k), 0.05) + 0.5 * np.eye(k)),
+                             tuple(fs.UserProfile(i + 1, s) for i, s in enumerate(stakes)))
+    with pytest.raises(fs.EnumerationBudgetError, match="needs 1795126080 cells"):
+        concentrated_payoffs(config, 1, 1.0, range(1, stakes[0] + 1))
 
 
 @pytest.mark.parametrize("query,message", [

@@ -72,10 +72,10 @@ def test_one_engine_call_per_distinct_stake(fresh_ref_config, monkeypatch):
 
 
 def test_a_refusal_does_not_depend_on_user_order(ref_config, monkeypatch):
-    """The engine prices the call that builds its win table by that call's
-    counts: one amt10 row costs 3.5e4 cells from stake 8 and 1.1e4 from
-    stake 2. The search sends the largest stake first, so under a budget
-    between the two the row is sampled whichever stake user 1 holds."""
+    """The engine prices its win table from the rival groups alone: amt10's
+    costs 24 810 cells whichever call builds it, and the search calls the
+    engine in id order. So under a budget of 20 000 the row is sampled
+    whichever stake user 1 holds, 8 or 2."""
     monkeypatch.setattr(enumeration, "_BUDGET", 20_000)
     sampled = []
     monkeypatch.setattr(solver._Gaps, "mc_check",
