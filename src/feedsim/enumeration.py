@@ -30,8 +30,9 @@ rounding: `feedsim.payoff` multiplies it by the total reward.
 
 Error rates depend on vote counts only. Each multiplicity group's multinomial
 report counts give its vote-count vectors and their probability per truth
-class; folding the groups in one at a time, with equal vectors merged after
-each fold, gives the distribution of the rival vote-count vector, built once.
+class, all from one fold over the classes. The first group's arrays, each
+later group merged in with equal vectors summed, give the distribution of the
+rival vote-count vector, built once: one group is `_groups`' own arrays.
 Multinomial coefficients and set counts come from one table of binomials.
 Its truth mass splits into non-negative parts, binned by gap like the win
 table: amt10's c = 1..8 take about 0.12 ms, or 14 ms with every user
@@ -42,7 +43,8 @@ over `_BUDGET` before anything is allocated. A cached table pays at the top of
 its builder for `_groups`' fold, built yet or not (3K + 4 cells a composition,
 and the binomials), then the win table for its walk, (class, state) cells times
 groups + 2 with one block's working set left out, and four (gap, k) arrays, the
-vote distribution for its folds. A payoff query pays for its split walk alone:
+vote distribution for its first group's votes and what each merge holds, 2K + 2
+cells per vector of its product. A payoff query pays for its split walk alone:
 amt10's cost at most 3.7e4 cells, its win table 24 810. A group of 1030 or
 more rivals is refused too: its set counts, C(n, k), pass the float range.
 
@@ -155,27 +157,26 @@ class ExactEnumerator:
     def _groups(self) -> tuple[list, list]:
         """Per multiplicity group: its report counts per class (one column per
         composition, in lexicographic order) and their probability per truth,
-        folded in one class at a time: each column places x = 0..left of the
-        reports left in C(left, x) ways, and the last class takes all left."""
+        folded from one column per group in one pass over the classes: each
+        column places x = 0..left of the reports left in C(left, x) ways, and
+        the last class takes all left. Each group is a slice of the result."""
         k = self.num_classes
-        comps, probs = [], []
-        for n in self.group_sizes:
-            comp, left = np.zeros((k, 1), dtype=np.int64), np.array([n], dtype=np.int64)
-            coef, prob = np.ones(1), np.ones((k, 1))
-            for j in range(k - 1):
-                col = np.repeat(np.arange(len(left)), left + 1)
-                comp = np.take(comp, col, axis=1)
-                comp[j] = x = np.arange(len(col)) - (np.cumsum(left + 1) - left - 1)[col]
-                coef = coef[col] * self._binomials[left[col], x]
-                prob = np.take(prob, col, axis=1)  # in place below: a second such array peaks
-                prob *= self.confusion[:, j, None] ** x
-                left = left[col] - x
-            comp[-1] = left
-            prob *= self.confusion[:, -1, None] ** left
-            prob *= coef
-            comps.append(comp)
-            probs.append(prob)
-        return comps, probs
+        left = np.array(self.group_sizes, dtype=np.int64)
+        comp = np.zeros((k, len(left)), dtype=np.int64)
+        coef, prob = np.ones(len(left)), np.ones((k, len(left)))
+        for j in range(k - 1):
+            col = np.repeat(np.arange(len(left)), left + 1)
+            comp = np.take(comp, col, axis=1)
+            comp[j] = x = np.arange(len(col)) - (np.cumsum(left + 1) - left - 1)[col]
+            coef = coef[col] * self._binomials[left[col], x]
+            prob = np.take(prob, col, axis=1)  # in place below: a second such array peaks
+            prob *= self.confusion[:, j, None] ** x
+            left = left[col] - x
+        comp[-1] = left
+        prob *= self.confusion[:, -1, None] ** left
+        prob *= coef
+        ends = np.cumsum([0, *self._comps]).tolist()
+        return tuple([a[:, lo:hi] for lo, hi in zip(ends, ends[1:])] for a in (comp, prob))
 
     @functools.cached_property
     def _win_tables(self) -> np.ndarray:
@@ -214,35 +215,37 @@ class ExactEnumerator:
 
     @functools.cached_property
     def _vote_distribution(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct rival vote-count vectors and their probability per truth.
-
-        Folds in one multiplicity group at a time: a group's compositions give
-        distinct vectors, so only the fold of a second group can merge any.
-        Merges sort the vectors in the smallest type that holds the total
-        vote count, for which numpy's stable sort is a radix sort.
-        """
+        """Distinct rival vote-count vectors, in the smallest integer type that
+        holds the rivals' votes, and their probability per truth. The first
+        group's distinct compositions start the fold as they are; each later
+        group is merged in, the vectors radix-sorted, the probabilities
+        reordered one class at a time and equal vectors summed."""
         k = self.num_classes
-        # `_groups`' fold, then the groups': a fold's vectors so far are bounded by
-        # their product and by the vectors of T votes; each meets every composition
+        # `_groups`' fold, the first group's votes, then what each merge holds per vector
+        # of its product: probabilities and their sums, votes, order and sort scratch.
+        # The vectors so far are bounded by that product and by the vectors of T votes
         cells, vectors, total = self._fold_cells, 1, 0
-        for m, n, comps in zip(self.group_mults, self.group_sizes, self._comps):
-            cells += vectors * comps * k
+        for g, (m, n, comps) in enumerate(zip(self.group_mults, self.group_sizes, self._comps)):
+            cells += vectors * comps * (2 * k + 2 if g else k)
             total += m * n
             vectors = min(vectors * comps, math.comb(total + k - 1, k - 1))
         self._afford(cells)
         comps, group_probs = self._groups
         dtype = np.min_scalar_type(sum(self.mults))
-        votes = np.zeros((1, k), dtype=dtype)
-        probs = np.ones((k, 1))
-        for g, (m, comp, prob) in enumerate(zip(self.group_mults, comps, group_probs)):
+        if not comps:  # no rivals: one all-zero vector, certain
+            return np.zeros((1, k), dtype=dtype), np.ones((k, 1))
+        votes, probs = comps[0].T.astype(dtype, order="C"), group_probs[0]
+        votes *= self.group_mults[0]
+        for m, comp, prob in zip(self.group_mults[1:], comps[1:], group_probs[1:]):
             votes = (votes[:, None, :] + (m * comp.T).astype(dtype)).reshape(-1, k)
             probs = (probs[:, :, None] * prob[:, None, :]).reshape(k, -1)
-            if g:
-                order = np.lexsort(votes.T[::-1])
-                votes, probs = votes[order], np.take(probs, order, axis=1)
-                starts = np.flatnonzero(np.r_[True, (votes[1:] != votes[:-1]).any(axis=1)])
-                votes, probs = votes[starts], np.add.reduceat(probs, starts, axis=1)
-        return votes.astype(np.int64), probs
+            order = np.lexsort(votes.T[::-1])
+            votes = votes[order]
+            for row in probs:  # one class at a time: no second (class, vector) array
+                row[:] = row[order]
+            starts = np.flatnonzero(np.r_[True, (votes[1:] != votes[:-1]).any(axis=1)])
+            votes, probs = votes[starts], np.add.reduceat(probs, starts, axis=1)
+        return votes, probs
 
     # -- queries ------------------------------------------------------------
 

@@ -22,8 +22,12 @@ def test_perfect_oracles_never_err():
 
 @pytest.mark.parametrize("accuracy", [0.6, 0.8, 0.95])
 def test_single_voter_error_is_one_minus_accuracy(accuracy):
+    """With no rivals the user's report decides every round, with one oracle
+    or with one per stake unit."""
     cfg = helpers.symmetric_binary_config([3], accuracy=accuracy)
     assert fs.error_rate_exact(cfg) == pytest.approx(1.0 - accuracy, abs=1e-12)
+    mirrored = fs.error_rate_exact(cfg, {1: fs.Strategy.concentrated(3, 3)})
+    assert mirrored == pytest.approx(1.0 - accuracy, abs=1e-12)
 
 
 # 5-6 users whose rivals share multiplicity groups, with mixed oracle
@@ -102,6 +106,19 @@ def test_vote_distribution_merges_across_groups(num_classes, rivals):
     assert len(votes) <= math.comb(sum(mults) + num_classes - 1, num_classes - 1)
     assert len(np.unique(votes, axis=0)) == len(votes)
     assert probs.sum(axis=1) == pytest.approx(np.ones(num_classes), abs=1e-12)
+
+
+def test_one_group_vote_distribution_is_its_group():
+    """With one multiplicity group nothing merges: the vote distribution's
+    probabilities are `_groups`' own array, and its votes are held in the
+    smallest integer type that holds the rivals' votes."""
+    engine = enumeration.ExactEnumerator(
+        helpers.weakly_accurate_matrix(np.random.default_rng(5), 4), np.full(4, 0.25), [3] * 6)
+    votes, probs = engine._vote_distribution
+    comps, group_probs = engine._groups
+    assert np.shares_memory(probs, group_probs[0])
+    assert votes.dtype == np.uint8
+    assert (votes == 3 * comps[0].T).all()
 
 
 def test_error_rate_mc_identity_and_agreement():

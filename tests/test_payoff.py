@@ -428,43 +428,73 @@ def test_a_win_table_is_priced_by_its_groups_alone(ref_config, counts, rates_fir
     assert paid[-1] == 19 * 715 + 100 + 5 * 715 * 3 + 4 * 10 * 10 == 24_810
 
 
-@pytest.mark.parametrize("k,mults", [
-    (2, [1] * 1000), (5, [1] * 20), (5, [1] * 39), (10, [1] * 15),
-    (3, [1] * 5 + [2] * 4 + [3] * 3),
-], ids=["K2-1000", "K5-20", "K5-39", "K10-15", "K3-mixed"])
-def test_a_win_table_build_holds_no_more_than_it_pays(k, mults):
-    """At 8 bytes a cell, what a fresh engine's first payoff query pays bounds
-    its traced peak, binomials and `_groups` included, give or take the
-    walk's one block: a dozen (class, state) arrays of at most `_BLOCK`
-    cells, which only a build far inside the budget notices. At K = 10
-    `_groups`' fold alone peaks at 34 cells a composition."""
+def first_payoff(engine):
+    engine.payoffs([1], [[1.0]], [[1.0] * engine.num_rivals])
+
+
+def first_error_rate(engine):
+    engine.error_rates([1])
+
+
+@pytest.mark.parametrize("k,mults,build", [
+    (2, [1] * 1000, first_payoff), (5, [1] * 20, first_payoff), (5, [1] * 39, first_payoff),
+    (10, [1] * 15, first_payoff), (3, [1] * 5 + [2] * 4 + [3] * 3, first_payoff),
+    (10, [1] * 15, first_error_rate), (5, [1] * 8 + [2] * 6 + [3] * 4, first_error_rate),
+], ids=["K2-1000", "K5-20", "K5-39", "K10-15", "K3-mixed",
+        "K10-15-error-rates", "K5-mixed-error-rates"])
+def test_a_win_table_build_holds_no_more_than_it_pays(k, mults, build):
+    """At 8 bytes a cell, what a fresh engine's first payoff query or error
+    rate pays bounds its traced peak, binomials and `_groups` included, give
+    or take one walk block: a dozen arrays of at most `_BLOCK` cells, which
+    only a build far inside the budget notices. At K = 10 `_groups`' fold
+    alone peaks at 34 cells a composition; the mixed K = 5 error rate peaks
+    in its last merge, which holds more than one (class, vector) array."""
     confusion = np.full((k, k), 0.5 / k) + 0.5 * np.eye(k)
     engine = enumeration.ExactEnumerator(confusion, np.full(k, 1 / k), mults)
     paid = recorded_prices(engine)
     tracemalloc.start()
     try:
-        engine.payoffs([1], [[1.0]], [[1.0] * len(mults)])
+        build(engine)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (sum(paid) + 12 * enumeration._BLOCK)
 
 
-def test_a_table_too_large_to_hold_is_refused_before_its_groups(monkeypatch):
-    """24 users at K = 10 with stakes 1 and 2: building the win table every
-    query reads would hold about 7 GB, most of it `_groups`' 28 M
-    compositions. It is priced at 1.8e9 cells, so the first query is refused
-    before any group is folded, whatever counts it asks."""
+@pytest.fixture
+def groups_never_folded(monkeypatch):
+    """Any read of an engine's `_groups` fails the test."""
     def fold(engine):
         raise AssertionError("_groups built")
 
     monkeypatch.setattr(enumeration.ExactEnumerator, "_groups", property(fold))
+
+
+def test_a_table_too_large_to_hold_is_refused_before_its_groups(groups_never_folded):
+    """24 users at K = 10 with stakes 1 and 2: building the win table every
+    query reads would hold about 7 GB, most of it `_groups`' 28 M
+    compositions. It is priced at 1.8e9 cells, so the first query is refused
+    before any group is folded, whatever counts it asks."""
     k = 10
     stakes = np.random.default_rng(7).integers(1, 3, 24).tolist()
     config = fs.SystemConfig(k, fs.ConfusionMatrix(np.full((k, k), 0.05) + 0.5 * np.eye(k)),
                              tuple(fs.UserProfile(i + 1, s) for i, s in enumerate(stakes)))
     with pytest.raises(fs.EnumerationBudgetError, match="needs 1795126080 cells"):
         concentrated_payoffs(config, 1, 1.0, range(1, stakes[0] + 1))
+
+
+def test_an_error_rate_too_large_to_hold_is_refused_before_its_groups(
+        ref_config, groups_never_folded):
+    """41 users on amt10's matrix, every user of stake 2 or more mirroring at
+    full stake: the last merge of the rival vote distribution would hold
+    about 6 GiB. Priced at what that merge holds, 2.1e9 cells, it is refused
+    before any group is folded."""
+    stakes = [4] + [1] * 18 + [2] * 12 + [3] * 10
+    config = fs.SystemConfig(5, ref_config.confusion,
+                             tuple(fs.UserProfile(i + 1, s) for i, s in enumerate(stakes)))
+    mirroring = {i + 1: fs.Strategy.concentrated(s, s) for i, s in enumerate(stakes) if s >= 2}
+    with pytest.raises(fs.EnumerationBudgetError, match="needs 2120167340 cells"):
+        fs.error_rate_exact(config, mirroring)
 
 
 @pytest.mark.parametrize("query,message", [
